@@ -1,14 +1,13 @@
 (* Domain-parallel replication: fan independent seeded replications of
    existing experiments across OCaml domains ([erpc_sim sweep], and the
-   [--domains] flag on chaos/kv-chaos/cluster-load).
+   [--jobs] flag on chaos/kv-chaos/cluster-load).
 
-   This is the embarrassingly-parallel tier of the PDES work: each task
-   builds its own engine, cluster and trace, so tasks share no mutable
-   state (the one cross-run global, [Sim.Event_queue.default_impl], is
-   only read; [Obs.Trace.disabled] is never written). A shared atomic
-   cursor deals tasks to workers, results land at their own index, and
-   the caller receives them in task order — so reports and digests are
-   identical to a sequential run, just computed on more cores. *)
+   This is the simulator's only parallel tier: each task builds its own
+   engine, cluster and trace, so tasks share no mutable state
+   ([Obs.Trace.disabled] is never written). A shared atomic cursor deals
+   tasks to workers, results land at their own index, and the caller
+   receives them in task order — so reports and digests are identical to
+   a sequential run, just computed on more cores. *)
 
 let map ?(jobs = 1) n f =
   if n < 0 then invalid_arg "Par_sweep.map: negative task count";

@@ -1,5 +1,5 @@
 type t = {
-  queue : (unit -> unit) Event_queue.t;
+  queue : (unit -> unit) Timing_wheel.t;
   mutable clock : Time.t;
   master_rng : Rng.t;
   mutable executed : int;
@@ -7,10 +7,10 @@ type t = {
   metrics : Obs.Metrics.t;
 }
 
-let create ?(seed = 42L) ?queue_impl () =
+let create ?(seed = 42L) () =
   let t =
     {
-      queue = Event_queue.create ?impl:queue_impl ();
+      queue = Timing_wheel.create ();
       clock = Time.zero;
       master_rng = Rng.create seed;
       executed = 0;
@@ -19,12 +19,11 @@ let create ?(seed = 42L) ?queue_impl () =
     }
   in
   (* Queue-shape gauges: pending event count plus the wheel's occupied-slot
-     load factor. Sampled per engine, so on a partitioned run each
-     partition's registry exposes its own load — imbalance is observable. *)
+     load factor. *)
   Obs.Metrics.gauge t.metrics ~name:"sim.queue_depth" (fun () ->
-      float_of_int (Event_queue.length t.queue));
+      float_of_int (Timing_wheel.length t.queue));
   Obs.Metrics.gauge t.metrics ~name:"sim.wheel_occupancy" (fun () ->
-      float_of_int (Event_queue.occupied_slots t.queue));
+      float_of_int (Timing_wheel.occupied_slots t.queue));
   t
 
 let now t = t.clock
@@ -37,30 +36,9 @@ let schedule t at f =
   if at < t.clock then
     invalid_arg
       (Format.asprintf "Engine.schedule: time %a is before now %a" Time.pp at Time.pp t.clock);
-  Event_queue.push t.queue at f
+  Timing_wheel.push t.queue at f
 
 let schedule_after t delta f = schedule t (Time.add t.clock delta) f
-
-(* PDES hook: a partition runner delivering a cross-partition message moves
-   the clock to the message timestamp before invoking the handler, exactly
-   as [step] does for a popped local event. *)
-let advance_clock t at =
-  if at < t.clock then
-    invalid_arg
-      (Format.asprintf "Engine.advance_clock: time %a is before now %a" Time.pp at
-         Time.pp t.clock);
-  t.clock <- at
-
-let next_event_time t = Event_queue.peek_time t.queue
-
-let step t =
-  match Event_queue.pop t.queue with
-  | None -> false
-  | Some (at, f) ->
-      t.clock <- at;
-      t.executed <- t.executed + 1;
-      f ();
-      true
 
 (* Sentinel for the fused pop: a statically allocated closure no caller
    can accidentally schedule (closures without free variables are unique
@@ -71,10 +49,10 @@ let run_until t horizon =
   let q = t.queue in
   let continue = ref true in
   while !continue do
-    let f = Event_queue.pop_if_before q horizon ~default:null_event in
+    let f = Timing_wheel.pop_if_before q horizon ~default:null_event in
     if f == null_event then continue := false
     else begin
-      t.clock <- Event_queue.last_time q;
+      t.clock <- Timing_wheel.last_time q;
       t.executed <- t.executed + 1;
       f ()
     end
@@ -85,14 +63,14 @@ let run t =
   let q = t.queue in
   let continue = ref true in
   while !continue do
-    let f = Event_queue.pop_if_before q max_int ~default:null_event in
+    let f = Timing_wheel.pop_if_before q max_int ~default:null_event in
     if f == null_event then continue := false
     else begin
-      t.clock <- Event_queue.last_time q;
+      t.clock <- Timing_wheel.last_time q;
       t.executed <- t.executed + 1;
       f ()
     end
   done
 
 let events_processed t = t.executed
-let pending t = Event_queue.length t.queue
+let pending t = Timing_wheel.length t.queue

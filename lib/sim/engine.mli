@@ -7,10 +7,7 @@
 
 type t
 
-(** [queue_impl] selects the event-queue implementation (defaults to the
-    current {!Event_queue.set_default_impl} setting); both implementations
-    execute identical event sequences. *)
-val create : ?seed:int64 -> ?queue_impl:Event_queue.impl -> unit -> t
+val create : ?seed:int64 -> unit -> t
 
 (** Current simulated time. *)
 val now : t -> Time.t
@@ -35,20 +32,6 @@ val schedule : t -> Time.t -> (unit -> unit) -> unit
 
 (** [schedule_after t delta f] runs [f] at [now t + delta]. *)
 val schedule_after : t -> Time.t -> (unit -> unit) -> unit
-
-(** Execute the single earliest event. Returns [false] when no events
-    remain. *)
-val step : t -> bool
-
-(** [advance_clock t at] moves the clock forward to [at] without executing
-    anything — the {!Partition} runner's hook for delivering a
-    cross-partition message at its arrival timestamp. [at] must not be in
-    the past. *)
-val advance_clock : t -> Time.t -> unit
-
-(** Timestamp of the earliest pending event, or [None] if the queue is
-    empty. *)
-val next_event_time : t -> Time.t option
 
 (** Run until the event queue is empty. *)
 val run : t -> unit

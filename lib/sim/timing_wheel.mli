@@ -4,10 +4,9 @@
     into a 1 ns-granularity timing wheel with O(1) push and pop; far-future
     events wait in an overflow min-heap and migrate into the wheel as the
     window advances. Ties on the timestamp are broken by insertion order
-    ([seq]) exactly as in {!Binheap}, including across the wheel/heap
-    boundary, so the two implementations pop identical sequences. Cells
-    are recycled through a free-list: steady-state push/pop allocates
-    nothing. *)
+    ([seq]), including across the wheel/heap boundary, so the engine is
+    fully deterministic for a given seed. Cells are recycled through a
+    free-list: steady-state push/pop allocates nothing. *)
 
 type 'a t
 

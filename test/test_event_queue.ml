@@ -1,95 +1,108 @@
-(* Tests for the engine's event queue: the production timing wheel
-   checked against the legacy binary heap as an oracle. Both must pop
-   the exact same sequence for the same pushes — that equivalence is
-   what makes [Sim.Event_queue.set_default_impl] trace-invariant. *)
+(* Tests for the engine's event queue, the timing wheel
+   ([Sim.Timing_wheel]), checked against a sorted-list reference model:
+   pops come out in (time, push order), across the wheel window and its
+   overflow heap alike. *)
+
+module Q = Sim.Timing_wheel
 
 let check_int = Alcotest.(check int)
 
-let impls = [ ("wheel", Sim.Event_queue.Wheel); ("binheap", Sim.Event_queue.Binheap) ]
-
-(* Drain a queue into a [(time, payload) list]. *)
-let drain q =
+(* Drain a queue into a [(time, payload) list] with its [pop]. *)
+let drain pop q =
   let rec go acc =
-    match Sim.Event_queue.pop q with
+    match pop q with
     | None -> List.rev acc
-    | Some (t, v) -> go ((t, v) :: acc)
+    | Some e -> go (e :: acc)
   in
   go []
 
+let drain_n pop q n = List.init n (fun _ -> Option.get (pop q))
+
+(* Reference model: a (time, payload) list sorted by (time, push order).
+   Inserting after every entry at or before [time] keeps ties in push
+   order. *)
+module Model = struct
+  let create () = ref []
+
+  let push m time v =
+    let rec ins = function
+      | ((t, _) as x) :: rest when t <= time -> x :: ins rest
+      | rest -> (time, v) :: rest
+    in
+    m := ins !m
+
+  let pop m =
+    match !m with
+    | [] -> None
+    | x :: rest ->
+        m := rest;
+        Some x
+end
+
 let test_same_time_fifo () =
-  List.iter
-    (fun (name, impl) ->
-      let q = Sim.Event_queue.create ~impl () in
-      (* Three bursts at the same timestamp, interleaved with other times:
-         ties must pop in push order. *)
-      for i = 0 to 99 do
-        Sim.Event_queue.push q 500 (1_000 + i);
-        Sim.Event_queue.push q 100 (2_000 + i);
-        Sim.Event_queue.push q 500 (1_100 + i)
-      done;
-      let got = drain q in
-      let at t = List.filter_map (fun (t', v) -> if t = t' then Some v else None) got in
-      let expect_500 =
-        List.concat_map (fun i -> [ 1_000 + i; 1_100 + i ]) (List.init 100 Fun.id)
-      in
-      Alcotest.(check (list int)) (name ^ ": t=100 FIFO") (List.init 100 (fun i -> 2_000 + i)) (at 100);
-      Alcotest.(check (list int)) (name ^ ": t=500 FIFO") expect_500 (at 500);
-      check_int (name ^ ": drained") 300 (List.length got))
-    impls
+  let q = Q.create () in
+  (* Three bursts at the same timestamp, interleaved with other times:
+     ties must pop in push order. *)
+  for i = 0 to 99 do
+    Q.push q 500 (1_000 + i);
+    Q.push q 100 (2_000 + i);
+    Q.push q 500 (1_100 + i)
+  done;
+  let got = drain Q.pop q in
+  let at t = List.filter_map (fun (t', v) -> if t = t' then Some v else None) got in
+  let expect_500 =
+    List.concat_map (fun i -> [ 1_000 + i; 1_100 + i ]) (List.init 100 Fun.id)
+  in
+  Alcotest.(check (list int)) "t=100 FIFO" (List.init 100 (fun i -> 2_000 + i)) (at 100);
+  Alcotest.(check (list int)) "t=500 FIFO" expect_500 (at 500);
+  check_int "drained" 300 (List.length got)
 
 let test_clear () =
-  List.iter
-    (fun (name, impl) ->
-      let q = Sim.Event_queue.create ~impl () in
-      for i = 0 to 50 do
-        Sim.Event_queue.push q (i * 7) i;
-        (* Some far beyond the wheel window, to land in the overflow heap. *)
-        Sim.Event_queue.push q ((i * 7) + 1_000_000) i
-      done;
-      Sim.Event_queue.clear q;
-      Alcotest.(check bool) (name ^ ": empty after clear") true (Sim.Event_queue.is_empty q);
-      check_int (name ^ ": length 0") 0 (Sim.Event_queue.length q);
-      Alcotest.(check bool) (name ^ ": no pop") true (Sim.Event_queue.pop q = None);
-      (* The queue must be fully usable after clear. *)
-      Sim.Event_queue.push q 9 1;
-      Sim.Event_queue.push q 3 2;
-      Alcotest.(check (list (pair int int))) (name ^ ": reusable") [ (3, 2); (9, 1) ] (drain q))
-    impls
+  let q = Q.create () in
+  for i = 0 to 50 do
+    Q.push q (i * 7) i;
+    (* Some far beyond the wheel window, to land in the overflow heap. *)
+    Q.push q ((i * 7) + 1_000_000) i
+  done;
+  Q.clear q;
+  Alcotest.(check bool) "empty after clear" true (Q.is_empty q);
+  check_int "length 0" 0 (Q.length q);
+  Alcotest.(check bool) "no pop" true (Q.pop q = None);
+  (* The queue must be fully usable after clear. *)
+  Q.push q 9 1;
+  Q.push q 3 2;
+  Alcotest.(check (list (pair int int))) "reusable" [ (3, 2); (9, 1) ] (drain Q.pop q)
 
 let test_pop_if_before () =
-  List.iter
-    (fun (name, impl) ->
-      let q = Sim.Event_queue.create ~impl () in
-      Sim.Event_queue.push q 10 "a";
-      Sim.Event_queue.push q 20 "b";
-      Sim.Event_queue.push q 20 "b2";
-      Sim.Event_queue.push q 30 "c";
-      let check_str = Alcotest.(check string) in
-      (* Horizon below the minimum: nothing pops, queue untouched. *)
-      check_str (name ^ ": too early") "none" (Sim.Event_queue.pop_if_before q 9 ~default:"none");
-      check_int (name ^ ": untouched") 4 (Sim.Event_queue.length q);
-      check_str (name ^ ": at min") "a" (Sim.Event_queue.pop_if_before q 10 ~default:"none");
-      check_int (name ^ ": last_time") 10 (Sim.Event_queue.last_time q);
-      (* Ties under the horizon pop in push order. *)
-      check_str (name ^ ": tie 1") "b" (Sim.Event_queue.pop_if_before q 25 ~default:"none");
-      check_str (name ^ ": tie 2") "b2" (Sim.Event_queue.pop_if_before q 25 ~default:"none");
-      check_str (name ^ ": above horizon") "none" (Sim.Event_queue.pop_if_before q 25 ~default:"none");
-      check_str (name ^ ": final") "c" (Sim.Event_queue.pop_if_before q 1_000_000 ~default:"none");
-      Alcotest.(check bool) (name ^ ": drained") true (Sim.Event_queue.is_empty q))
-    impls
+  let q = Q.create () in
+  Q.push q 10 "a";
+  Q.push q 20 "b";
+  Q.push q 20 "b2";
+  Q.push q 30 "c";
+  let check_str = Alcotest.(check string) in
+  (* Horizon below the minimum: nothing pops, queue untouched. *)
+  check_str "too early" "none" (Q.pop_if_before q 9 ~default:"none");
+  check_int "untouched" 4 (Q.length q);
+  check_str "at min" "a" (Q.pop_if_before q 10 ~default:"none");
+  check_int "last_time" 10 (Q.last_time q);
+  (* Ties under the horizon pop in push order. *)
+  check_str "tie 1" "b" (Q.pop_if_before q 25 ~default:"none");
+  check_str "tie 2" "b2" (Q.pop_if_before q 25 ~default:"none");
+  check_str "above horizon" "none" (Q.pop_if_before q 25 ~default:"none");
+  check_str "final" "c" (Q.pop_if_before q 1_000_000 ~default:"none");
+  Alcotest.(check bool) "drained" true (Q.is_empty q)
 
 let test_window_boundary () =
   (* The wheel covers a 16384 ns window past the last popped time; events
      beyond it sit in an overflow heap and migrate in as the window
      advances. Straddle the boundary repeatedly and check order (and
-     same-time FIFO across the wheel/heap seam) against the binheap. *)
-  let build impl =
-    let q = Sim.Event_queue.create ~impl () in
+     same-time FIFO across the wheel/heap seam) against the model. *)
+  let build q push pop =
     let boundary = 16_384 in
     List.iteri
       (fun i off ->
-        Sim.Event_queue.push q off (2 * i);
-        Sim.Event_queue.push q off ((2 * i) + 1))
+        push q off (2 * i);
+        push q off ((2 * i) + 1))
       [
         boundary - 1; boundary; boundary + 1; 0; boundary * 3; 1;
         boundary - 1; boundary * 2; boundary; 5; (boundary * 2) + 1; boundary * 10;
@@ -98,25 +111,44 @@ let test_window_boundary () =
        push more events behind and beyond the new window. *)
     let popped = ref [] in
     for _ = 1 to 6 do
-      match Sim.Event_queue.pop q with
+      match pop q with
       | Some (t, v) -> popped := (t, v) :: !popped
       | None -> Alcotest.fail "queue exhausted early"
     done;
     List.iteri
-      (fun i off -> Sim.Event_queue.push q off (100 + i))
+      (fun i off -> push q off (100 + i))
       [ 2; boundary + 2; (boundary * 4) + 7; 3; boundary * 4 ];
-    List.rev_append !popped (drain q)
+    List.rev_append !popped (drain pop q)
   in
-  let wheel = build Sim.Event_queue.Wheel in
-  let heap = build Sim.Event_queue.Binheap in
-  Alcotest.(check (list (pair int int))) "wheel = binheap across window boundary" heap wheel
+  let wheel = build (Q.create ()) Q.push Q.pop in
+  let model = build (Model.create ()) Model.push Model.pop in
+  Alcotest.(check (list (pair int int))) "wheel = model across window boundary" model wheel
 
-(* Random push/pop interleavings: the wheel must agree with the binheap
-   oracle event-for-event, including tie order and interleaved pops that
+(* A heap cell migrates into the wheel only on the pop after the window
+   reaches it, so a same-time push made in between lands in the wheel
+   first. The migrated cell was pushed earlier and must still pop first. *)
+let test_seam_merge_order () =
+  let run q push pop =
+    push q 0 "a";
+    push q 20_000 "via heap";
+    push q 10_000 "b";
+    let first = drain_n pop q 2 in
+    (* The window now starts at 10000, so 20000 is inside it. *)
+    push q 20_000 "direct";
+    first @ drain pop q
+  in
+  Alcotest.(check (list (pair int string)))
+    "migrated cell keeps push order"
+    (run (Model.create ()) Model.push Model.pop)
+    (run (Q.create ()) Q.push Q.pop)
+
+(* Random push/pop interleavings: the wheel must agree with the model
+   event-for-event, including tie order and interleaved pops that
    advance the window mid-stream. *)
 let test_equivalence_qcheck =
   QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~name:"wheel matches binheap on random interleavings" ~count:200
+    (QCheck2.Test.make ~name:"wheel matches sorted-list model on random interleavings"
+       ~count:200
        QCheck2.Gen.(
          list_size (int_range 1 400)
            (oneof
@@ -128,42 +160,30 @@ let test_equivalence_qcheck =
                 return `Pop;
               ]))
        (fun ops ->
-         let run impl =
-           let q = Sim.Event_queue.create ~impl () in
+         let run q push pop =
            let log = ref [] in
            (* Times are relative to the last popped time so pushes stay
               valid (an engine never schedules in the past) while still
-              straddling the window. *)
+              straddling the window; once the queue drains they restart
+              from 0, behind the window. *)
+           let now = ref 0 and pending = ref 0 in
            List.iteri
              (fun i op ->
                match op with
                | `Push dt ->
-                   let now = if Sim.Event_queue.is_empty q then 0 else Sim.Event_queue.last_time q in
-                   Sim.Event_queue.push q (now + dt) i
+                   push q ((if !pending = 0 then 0 else !now) + dt) i;
+                   incr pending
                | `Pop -> (
-                   match Sim.Event_queue.pop q with
-                   | Some (t, v) -> log := (t, v) :: !log
+                   match pop q with
+                   | Some (t, v) ->
+                       now := t;
+                       decr pending;
+                       log := (t, v) :: !log
                    | None -> log := (-1, -1) :: !log))
              ops;
-           List.rev_append !log (drain q)
+           List.rev_append !log (drain pop q)
          in
-         run Sim.Event_queue.Wheel = run Sim.Event_queue.Binheap))
-
-(* {2 Whole-simulator properties} *)
-
-(* The two implementations must produce byte-identical traces on a full
-   chaos run — same events, same order, same simulated results. *)
-let test_cross_impl_trace_identity () =
-  let run impl =
-    Sim.Event_queue.set_default_impl impl;
-    Fun.protect ~finally:(fun () -> Sim.Event_queue.set_default_impl Sim.Event_queue.Wheel)
-    @@ fun () -> Experiments.Chaos.run_one ~seed:4242L ()
-  in
-  let w = run Sim.Event_queue.Wheel in
-  let b = run Sim.Event_queue.Binheap in
-  Alcotest.(check string) "trace identical across impls" b.Experiments.Chaos.trace w.trace;
-  check_int "same event count" b.events w.events;
-  Alcotest.(check (list string)) "no invariant violations" [] w.violations
+         run (Q.create ()) Q.push Q.pop = run (Model.create ()) Model.push Model.pop))
 
 (* Allocation budget: the pooled datapath plus the wheel's cell free-list
    keep steady-state cost near 6 minor-heap words per event (closures for
@@ -201,7 +221,7 @@ let test_allocation_budget () =
   if per_event > 8. then
     Alcotest.failf "allocation budget blown: %.1f minor words/event (budget 8)" per_event
 
-(* The wheel-occupancy gauge (partition load-imbalance observability):
+(* The wheel-occupancy gauge (the calendar queue's load factor):
    it must track how many wheel slots hold pending events and drain back
    to zero with the queue. *)
 let test_wheel_occupancy_gauge () =
@@ -220,7 +240,7 @@ let suite =
     Alcotest.test_case "clear semantics" `Quick test_clear;
     Alcotest.test_case "pop_if_before" `Quick test_pop_if_before;
     Alcotest.test_case "wheel window boundary" `Quick test_window_boundary;
+    Alcotest.test_case "heap-to-wheel merge order" `Quick test_seam_merge_order;
     test_equivalence_qcheck;
-    Alcotest.test_case "cross-impl trace identity" `Quick test_cross_impl_trace_identity;
     Alcotest.test_case "allocation budget" `Quick test_allocation_budget;
   ]

@@ -123,6 +123,61 @@ let test_cluster_load_deterministic () =
   in
   check_bool "seed changes trace" true (d 11L <> d 12L)
 
+(* {2 Golden same-seed digests}
+
+   Values recorded from the tree before the single-queue engine refactor.
+   The other determinism tests compare two runs of the same build; these
+   pin the digests themselves, so a refactor that claims to leave event
+   order untouched must reproduce them byte for byte. A deliberate model
+   change updates them in the same commit and says why. *)
+
+let md5 s = Digest.to_hex (Digest.string s)
+
+let test_golden_chaos_digest () =
+  let r = Experiments.Chaos.run_one ~seed:4242L () in
+  Alcotest.(check string) "chaos seed 4242 trace digest"
+    "a1553404991d49dd9e4aed4d746357cd" (md5 r.trace);
+  Alcotest.(check int) "chaos seed 4242 events" 4125 r.events
+
+let test_golden_kv_chaos_digest () =
+  let s = Experiments.Exp_kv_chaos.run_suite ~seeds:3 () in
+  Alcotest.(check string) "kv-chaos 3-seed suite digest"
+    "cc60bbfec721a7ecd88fc983e36ffa50"
+    (md5 (Obs.Json.to_string (Experiments.Exp_kv_chaos.suite_to_json s)))
+
+let test_golden_cluster_load_digests () =
+  Alcotest.(check (list (pair string string)))
+    "cluster-load scale 0.2, 5 ms, seed 42"
+    [
+      ("steady-poisson", "f4520c1d48f9482a");
+      ("hot-key-shift", "6afb16d1eb18c2e3");
+      ("bursty-mixed", "d67374c84e0c98bb");
+      ("local-mesh", "d798dd74d7d6a3a3");
+    ]
+    (List.map
+       (fun (r : Experiments.Exp_cluster_load.result) -> (r.scenario, r.digest))
+       (Experiments.Exp_cluster_load.run_all ~seed:42L ~scale:0.2 ~horizon_ms:5.0 ()))
+
+(* Every bench-sim workload's event count and end-state fingerprint
+   digest at seed 42. *)
+let test_golden_bench_sim () =
+  let rows = Experiments.Bench_sim.run_all ~seed:42L () in
+  List.iter
+    (fun (workload, events, digest) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "bench-sim %s: events=%d digest=%s" workload events digest)
+        true
+        (List.exists
+           (fun (r : Experiments.Bench_sim.row) ->
+             r.workload = workload && r.events = events && r.digest = digest)
+           rows))
+    [
+      ("incast", 424460, "68dc04ed3295b8726fdb0d8ff88f77f9");
+      ("rate", 197876, "285c8b83b6b35f9ecd5bf618a54bc74e");
+      ("bandwidth", 391294, "dc4c81584985d4440c5dcb645943a235");
+      ("chaos", 12738, "398ecc13a6532db1a46dd6c439403152");
+    ]
+
 let suite =
   [
     Alcotest.test_case "table2 bands" `Quick test_latency_bands;
@@ -136,4 +191,8 @@ let suite =
     Alcotest.test_case "fig1 band" `Quick test_rdma_fig1_band;
     Alcotest.test_case "cluster-load smoke" `Quick test_cluster_load_smoke;
     Alcotest.test_case "cluster-load determinism" `Quick test_cluster_load_deterministic;
+    Alcotest.test_case "golden chaos digest" `Quick test_golden_chaos_digest;
+    Alcotest.test_case "golden kv-chaos digest" `Quick test_golden_kv_chaos_digest;
+    Alcotest.test_case "golden cluster-load digests" `Quick test_golden_cluster_load_digests;
+    Alcotest.test_case "golden bench-sim fingerprints" `Quick test_golden_bench_sim;
   ]
