@@ -60,6 +60,25 @@ val bounded_string : int -> string t
 
 (** {1 Combinators} *)
 
+type ('r, 'a) field
+
+val field : 'a t -> ('r -> 'a) -> ('r, 'a) field
+(** [field c get]: a field of a record of type ['r], encoded with [c] and
+    read out of the record with [get]. *)
+
+(** The fields of a record, in wire order. Written with list syntax:
+    [Codec.[ field u32 fst; field string snd ]]. *)
+type ('r, 'k) fields =
+  | [] : ('r, 'r) fields
+  | ( :: ) : ('r, 'a) field * ('r, 'k) fields -> ('r, 'a -> 'k) fields
+
+val record : ('r, 'k) fields -> 'k -> 'r t
+(** [record fields make] encodes the fields back to back — the same bytes
+    as nested {!pair}s. Decoding passes the fields, in order, to the
+    curried constructor [make]; up to six fields, it allocates nothing
+    besides what [make] and the field readers return. A record is
+    flat-capable iff all its fields are. *)
+
 val pair : 'a t -> 'b t -> ('a * 'b) t
 val triple : 'a t -> 'b t -> 'c t -> ('a * 'b * 'c) t
 
@@ -109,7 +128,10 @@ val with_checksum : 'a t -> 'a t
 (** {1 Sizes} *)
 
 val size : 'a t -> 'a -> int
-(** Exact compact encoded size of a value. *)
+(** Exact compact encoded size of a value. A codec whose every value has
+    the same size (built only from fixed-width primitives, {!fixed_string},
+    {!record}, {!map} and {!with_checksum}) answers without looking at the
+    value; so do {!encoded_size} and {!encoded_leaves}. *)
 
 val bound : 'a t -> int option
 (** Static upper bound on the compact size, when one exists. *)

@@ -2,10 +2,10 @@
    zero-copy from RX views, and charge the modeled per-field codec cost to
    the owning CPU at the point on the datapath where the work happens. *)
 
-let write ?(backend = Codec.Compact) c m v =
+(* Every entry point sizes a message once and hands the size down. *)
+let write_sized ~backend c m v n =
   if Msgbuf.owner m = Msgbuf.Owned_by_erpc then
     invalid_arg "Typed.write: msgbuf is in flight (eRPC-owned)";
-  let n = Codec.encoded_size ~backend c v in
   if n > Msgbuf.max_size m then
     invalid_arg
       (Printf.sprintf "Typed.write: encoded size %d exceeds msgbuf capacity %d" n
@@ -13,13 +13,19 @@ let write ?(backend = Codec.Compact) c m v =
   Msgbuf.resize m n;
   ignore (Codec.encode ~backend c (Msgbuf.unsafe_bytes m) (Msgbuf.unsafe_offset m) v)
 
-let read ?(backend = Codec.Compact) c m =
+let write ?(backend = Codec.Compact) c m v =
+  write_sized ~backend c m v (Codec.encoded_size ~backend c v)
+
+let decode ~backend c m =
   Codec.decode ~backend c (Msgbuf.unsafe_bytes m) ~off:(Msgbuf.unsafe_offset m)
     ~len:(Msgbuf.size m)
 
+let read ?(backend = Codec.Compact) c m = decode ~backend c m
+
 let alloc_and_write ?(backend = Codec.Compact) c v =
-  let m = Msgbuf.alloc ~max_size:(Codec.encoded_size ~backend c v) in
-  write ~backend c m v;
+  let n = Codec.encoded_size ~backend c v in
+  let m = Msgbuf.alloc ~max_size:n in
+  write_sized ~backend c m v n;
   m
 
 (* {2 Client side} *)
@@ -28,13 +34,8 @@ let enqueue_request rpc sess ~req_type ~req_codec ~resp_codec ?backend ?(charge 
     ?req_buf ?resp_buf ?resp_max v ~cont =
   let backend = match backend with Some b -> b | None -> fst (Rpc.codec_mode rpc) in
   let n = Codec.encoded_size ~backend req_codec v in
-  let req =
-    match req_buf with
-    | Some m ->
-        write ~backend req_codec m v;
-        m
-    | None -> alloc_and_write ~backend req_codec v
-  in
+  let req = match req_buf with Some m -> m | None -> Msgbuf.alloc ~max_size:n in
+  write_sized ~backend req_codec req v n;
   (* Serialization happens (and is charged) before admission, so its span
      sits between the request's start and its first TX. *)
   if charge then
@@ -63,7 +64,7 @@ let enqueue_request rpc sess ~req_type ~req_codec ~resp_codec ?backend ?(charge 
   in
   let decoded = ref None in
   let on_complete resp_m =
-    match read ~backend resp_codec resp_m with
+    match decode ~backend resp_codec resp_m with
     | r ->
         if charge then
           Rpc.charge_codec ~backend rpc ~deser:true
@@ -85,7 +86,7 @@ let enqueue_request rpc sess ~req_type ~req_codec ~resp_codec ?backend ?(charge 
 let read_request ?backend ?(charge = true) h c =
   let backend = match backend with Some b -> b | None -> fst (Req_handle.codec_mode h) in
   let m = Req_handle.get_request h in
-  let v = read ~backend c m in
+  let v = decode ~backend c m in
   if charge then
     Req_handle.charge_codec h ~deser:true ~backend
       ~leaves:(Codec.encoded_leaves ~backend c v)

@@ -28,23 +28,26 @@ type status =
 let backend = Codec.Compact
 
 (* Request: op(4) shard(4) client_id(4) seq(4) key value. GETs carry a
-   zero-filled value region so one fixed layout serves both ops. *)
+   zero-filled value region so one fixed layout serves both ops; a PUT
+   value must be exactly [value_size] bytes. *)
 let req_size = 16 + key_size + value_size
 
+let zero_value = String.make value_size '\000'
+
 let request_codec : request Codec.t =
-  let open Codec in
-  map
-    ~into:(fun (((opc, shard), (client_id, seq)), (key, value)) ->
+  Codec.(
+    record
+      [
+        field u32 (fun r -> match r.op with Put -> 0 | Get -> 1);
+        field u32 (fun r -> r.shard);
+        field u32 (fun r -> r.client_id);
+        field u32 (fun r -> r.seq);
+        field (fixed_string key_size) (fun r -> r.key);
+        field (fixed_string value_size) (fun r ->
+            match r.op with Put -> r.value | Get -> zero_value);
+      ])
+    (fun opc shard client_id seq key value ->
       { op = (if opc = 0 then Put else Get); shard; client_id; seq; key; value })
-    ~from:(fun r ->
-      ( ( ((match r.op with Put -> 0 | Get -> 1), r.shard),
-          (r.client_id, r.seq) ),
-        ( r.key,
-          if String.length r.value = value_size then r.value
-          else String.make value_size '\000' ) ))
-    (pair
-       (pair (pair u32 u32) (pair u32 u32))
-       (pair (fixed_string key_size) (fixed_string value_size)))
 
 let write_request m (r : request) = Erpc.Typed.write ~backend request_codec m r
 let read_request m = Erpc.Typed.read ~backend request_codec m
@@ -67,16 +70,19 @@ let hint_code = function
   | _ -> 0
 
 let response_codec : (status * string option) Codec.t =
-  let open Codec in
-  map
-    ~into:(fun ((code, hintc), value) ->
+  Codec.(
+    record
+      [
+        field u32 (fun (status, _) -> status_code status);
+        field u32 (fun (status, _) -> hint_code status);
+        field (tail_option (fixed_string value_size)) snd;
+      ])
+    (fun code hintc value ->
       let hint = if hintc = 0 then None else Some (hintc - 1) in
       let status =
         match code with 0 -> Ok_ | 1 -> Not_leader hint | 2 -> Retry hint | _ -> Not_found
       in
       (status, value))
-    ~from:(fun (status, value) -> ((status_code status, hint_code status), value))
-    (pair (pair u32 u32) (tail_option (fixed_string value_size)))
 
 let write_response m ~status ~value =
   Erpc.Typed.write ~backend response_codec m (status, value)
@@ -88,11 +94,15 @@ let read_response m = Erpc.Typed.read ~backend response_codec m
 let cmd_size = 8 + key_size + value_size
 
 let cmd_codec : (int * int * string * string) Codec.t =
-  let open Codec in
-  map
-    ~into:(fun ((client_id, seq), (key, value)) -> (client_id, seq, key, value))
-    ~from:(fun (client_id, seq, key, value) -> ((client_id, seq), (key, value)))
-    (pair (pair u32 u32) (pair (fixed_string key_size) (fixed_string value_size)))
+  Codec.(
+    record
+      [
+        field u32 (fun (client_id, _, _, _) -> client_id);
+        field u32 (fun (_, seq, _, _) -> seq);
+        field (fixed_string key_size) (fun (_, _, key, _) -> key);
+        field (fixed_string value_size) (fun (_, _, _, value) -> value);
+      ])
+    (fun client_id seq key value -> (client_id, seq, key, value))
 
 let encode_cmd ~client_id ~seq ~key ~value =
   Bytes.unsafe_to_string (Codec.to_bytes ~backend cmd_codec (client_id, seq, key, value))
@@ -100,11 +110,11 @@ let encode_cmd ~client_id ~seq ~key ~value =
 let noop_client_id = 0xffff_ffff
 
 let noop_cmd ~seq =
-  encode_cmd ~client_id:noop_client_id ~seq
-    ~key:(String.make key_size '\000')
-    ~value:(String.make value_size '\000')
+  encode_cmd ~client_id:noop_client_id ~seq ~key:(String.make key_size '\000') ~value:zero_value
 
-let decode_cmd s = Codec.of_bytes ~backend cmd_codec (Bytes.of_string s)
+(* Decoding only reads, so the command string is decoded in place. *)
+let decode_cmd s =
+  Codec.decode ~backend cmd_codec (Bytes.unsafe_of_string s) ~off:0 ~len:(String.length s)
 
 (* Raft frame: shard(4) ^ message bytes. *)
 let raft_frame_codec : (int * string Raft.Core.msg) Codec.t =
@@ -112,7 +122,21 @@ let raft_frame_codec : (int * string Raft.Core.msg) Codec.t =
 
 let raft_frame_size msg = Codec.size raft_frame_codec (0, msg)
 
+let alloc_raft_frame ~shard msg =
+  Erpc.Typed.alloc_and_write ~backend raft_frame_codec (shard, msg)
+
 let write_raft_frame m ~shard msg =
   Erpc.Typed.write ~backend raft_frame_codec m (shard, msg)
 
 let read_raft_frame m = Erpc.Typed.read ~backend raft_frame_codec m
+
+(* Replies are the fixed-size cases of the Raft schema, so any one value of
+   each gives its frame size. *)
+let raft_reply_max_size =
+  List.fold_left
+    (fun acc reply -> max acc (raft_frame_size reply))
+    0
+    [
+      Raft.Core.Request_vote_resp { term = 0; vote_granted = false; from = 0 };
+      Raft.Core.Append_entries_resp { term = 0; success = false; from = 0; match_index = 0 };
+    ]

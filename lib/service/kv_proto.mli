@@ -47,8 +47,10 @@ type status =
 val req_size : int
 val resp_max_size : int
 
-(** Schema of {!request}: op(4) shard(4) client_id(4) seq(4) key value,
-    with GET values zero-padded to [value_size]. Flat-capable. *)
+(** Schema of {!request}: op(4) shard(4) client_id(4) seq(4) key value.
+    A GET's value region is all zeros whatever its [value] field holds; a
+    PUT's value must be exactly [value_size] bytes, or encoding raises
+    [Invalid_argument]. Flat-capable. *)
 val request_codec : request Codec.t
 
 (** Schema of [(status, value)]: status(4) hint(4), value present iff
@@ -102,5 +104,13 @@ val raft_frame_codec : (int * string Raft.Core.msg) Codec.t
     bytes. *)
 val raft_frame_size : string Raft.Core.msg -> int
 
+(** A fresh, exactly-sized msgbuf holding the frame; sizes the message
+    once. *)
+val alloc_raft_frame : shard:int -> string Raft.Core.msg -> Erpc.Msgbuf.t
+
 val write_raft_frame : Erpc.Msgbuf.t -> shard:int -> string Raft.Core.msg -> unit
 val read_raft_frame : Erpc.Msgbuf.t -> int * string Raft.Core.msg
+
+(** Size of the largest reply frame ([Request_vote_resp] or
+    [Append_entries_resp]): what a Raft RPC's response msgbuf needs. *)
+val raft_reply_max_size : int

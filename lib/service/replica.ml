@@ -188,9 +188,8 @@ let send_raft t st dst msg =
       match session_to t dst_host with
       | None -> drop_raft t st ~dst_host
       | Some sess ->
-          let req = Erpc.Msgbuf.alloc ~max_size:(Kv_proto.raft_frame_size msg) in
-          Kv_proto.write_raft_frame req ~shard:st.shard msg;
-          let resp = Erpc.Msgbuf.alloc ~max_size:256 in
+          let req = Kv_proto.alloc_raft_frame ~shard:st.shard msg in
+          let resp = Erpc.Msgbuf.alloc ~max_size:Kv_proto.raft_reply_max_size in
           Erpc.Rpc.enqueue_request t.rpc sess ~req_type:Kv_proto.raft_req_type ~req
             ~resp ~cont:(fun r ->
               match r with
@@ -271,9 +270,8 @@ let register_handlers t =
           t.pending_reply <- None;
           match reply with
           | Some (s, r) when s = shard ->
-              let resp =
-                Erpc.Req_handle.init_response h ~size:(Kv_proto.raft_frame_size r)
-              in
+              (* Sized for the largest reply; the write trims it to [r]. *)
+              let resp = Erpc.Req_handle.init_response h ~size:Kv_proto.raft_reply_max_size in
               Kv_proto.write_raft_frame resp ~shard:s r;
               Erpc.Req_handle.enqueue_response h resp
           | _ ->

@@ -229,7 +229,38 @@ let prefix_cases =
     ("variant", Codec.to_bytes shape_codec (Label "edge"));
     ("checksum", Codec.to_bytes (Codec.with_checksum Codec.string) "hello");
     ("flat", Codec.to_bytes ~backend:Codec.Flat flat_schema flat_value);
+    ( "raft frame rv",
+      Codec.to_bytes Service.Kv_proto.raft_frame_codec
+        ( 1,
+          Raft.Core.Request_vote
+            { term = 5; candidate_id = 2; last_log_index = 17; last_log_term = 4 } ) );
+    ( "raft frame aer",
+      Codec.to_bytes Service.Kv_proto.raft_frame_codec
+        ( 3,
+          Raft.Core.Append_entries_resp { term = 6; success = true; from = 2; match_index = 11 }
+        ) );
   ]
+
+(* An AppendEntries frame ends in its entry list, so a prefix cut at an
+   entry boundary is itself a valid (shorter) frame: it joins the
+   corruption fuzz only. *)
+let corruption_cases =
+  prefix_cases
+  @ [
+      ( "raft frame ae",
+        Codec.to_bytes Service.Kv_proto.raft_frame_codec
+          ( 2,
+            Raft.Core.Append_entries
+              {
+                term = 2;
+                leader_id = 1;
+                prev_log_index = 7;
+                prev_log_term = 2;
+                leader_commit = 6;
+                entries =
+                  [ { Raft.Log.term = 2; cmd = "put-a" }; { Raft.Log.term = 2; cmd = "" } ];
+              } ) );
+    ]
 
 let decode_of_name name =
   match name with
@@ -239,6 +270,8 @@ let decode_of_name name =
   | "variant" -> fun b -> ignore (Codec.of_bytes shape_codec b)
   | "checksum" -> fun b -> ignore (Codec.of_bytes (Codec.with_checksum Codec.string) b)
   | "flat" -> fun b -> ignore (Codec.of_bytes ~backend:Codec.Flat flat_schema b)
+  | "raft frame rv" | "raft frame aer" | "raft frame ae" ->
+      fun b -> ignore (Codec.of_bytes Service.Kv_proto.raft_frame_codec b)
   | _ -> assert false
 
 let test_prefix_fuzz () =
@@ -274,7 +307,7 @@ let test_corruption_fuzz () =
                 (Printexc.to_string e)
         done
       done)
-    prefix_cases
+    corruption_cases
 
 (* {2 Golden wire bytes}
 
@@ -382,6 +415,218 @@ let test_kv_request_flat_leaves () =
   check_bool "flat = compact bytes" true (b = Codec.to_bytes Service.Kv_proto.request_codec r);
   check_int "seq leaf" 42 (Codec.get_leaf_int Service.Kv_proto.request_codec b ~base:0 ~leaf:3);
   check_str "key leaf" key16 (Codec.get_leaf_string Service.Kv_proto.request_codec b ~base:0 ~leaf:4)
+
+(* A PUT whose value is not exactly [value_size] bytes is a caller bug the
+   codec must refuse; it must never reach the wire as zeros. *)
+let test_kv_put_value_length () =
+  let req op value =
+    { Service.Kv_proto.op; shard = 0; client_id = 1; seq = 1; key = key16; value }
+  in
+  let m = Erpc.Msgbuf.alloc ~max_size:Service.Kv_proto.req_size in
+  List.iter
+    (fun n ->
+      Alcotest.check_raises
+        (Printf.sprintf "%d-byte PUT value" n)
+        (Invalid_argument (Printf.sprintf "Codec.fixed_string: expected 64 bytes, got %d" n))
+        (fun () -> Service.Kv_proto.write_request m (req Service.Kv_proto.Put (String.make n 'x'))))
+    [ 3; 65 ];
+  (* A GET's value region is zeros whatever its value field holds. *)
+  check_str "GET ignores its value field"
+    (hex (Codec.to_bytes Service.Kv_proto.request_codec (req Service.Kv_proto.Get "")))
+    (hex (Codec.to_bytes Service.Kv_proto.request_codec (req Service.Kv_proto.Get ramp64)))
+
+let test_raft_reply_max_size () =
+  let frame msg = Bytes.length (Codec.to_bytes Service.Kv_proto.raft_frame_codec (7, msg)) in
+  check_int "largest reply frame"
+    (max
+       (frame (Raft.Core.Request_vote_resp { term = 9; vote_granted = true; from = 2 }))
+       (frame
+          (Raft.Core.Append_entries_resp { term = 9; success = true; from = 2; match_index = 40 })))
+    Service.Kv_proto.raft_reply_max_size
+
+(* {2 Service and Raft schema properties}
+
+   For random values of every schema in [Kv_proto] and [Raft.Wire]:
+
+   - [size], [encoded_size] and [encode] agree on the byte count, and
+     [encode] writes nothing past it (constant-size schemas answer [size]
+     without looking at the value, so this also checks that shortcut);
+   - decoding re-encodes to the same bytes;
+   - every strict prefix raises [Decode_error] — or, for schemas ending in
+     a tail field, decodes to a value whose encoding is exactly that
+     prefix — and never any other exception;
+   - a trailing byte is rejected. *)
+
+type schema_value = S : string * 'a Codec.t * bool * 'a -> schema_value
+
+let schema_gen =
+  let open QCheck2.Gen in
+  let u32 = int_range 0 0xFFFFFFFF in
+  let fixed n = string_size ~gen:char (return n) in
+  let value = fixed Service.Kv_proto.value_size in
+  let request =
+    let+ put = bool
+    and+ shard = u32
+    and+ client_id = u32
+    and+ seq = u32
+    and+ key = fixed Service.Kv_proto.key_size
+    and+ value = value in
+    let op = if put then Service.Kv_proto.Put else Service.Kv_proto.Get in
+    S
+      ( "request",
+        Service.Kv_proto.request_codec,
+        false,
+        { Service.Kv_proto.op; shard; client_id; seq; key; value } )
+  in
+  let response =
+    let+ status =
+      oneof
+        [
+          return Service.Kv_proto.Ok_;
+          return Service.Kv_proto.Not_found;
+          map (fun h -> Service.Kv_proto.Not_leader h) (option (int_range 0 1000));
+          map (fun h -> Service.Kv_proto.Retry h) (option (int_range 0 1000));
+        ]
+    and+ value = option value in
+    S ("response", Service.Kv_proto.response_codec, true, (status, value))
+  in
+  let cmd =
+    let+ client_id = u32
+    and+ seq = u32
+    and+ key = fixed Service.Kv_proto.key_size
+    and+ value = value in
+    S ("cmd", Service.Kv_proto.cmd_codec, false, (client_id, seq, key, value))
+  in
+  let entry =
+    let+ term = u32 and+ cmd = string_size ~gen:char (int_range 0 100) in
+    { Raft.Log.term; cmd }
+  in
+  let msg =
+    oneof
+      [
+        (let+ term = u32
+         and+ candidate_id = u32
+         and+ last_log_index = u32
+         and+ last_log_term = u32 in
+         Raft.Core.Request_vote { term; candidate_id; last_log_index; last_log_term });
+        (let+ term = u32 and+ vote_granted = bool and+ from = u32 in
+         Raft.Core.Request_vote_resp { term; vote_granted; from });
+        (let+ term = u32
+         and+ leader_id = u32
+         and+ prev_log_index = u32
+         and+ prev_log_term = u32
+         and+ leader_commit = u32
+         and+ entries = list_size (int_range 0 3) entry in
+         Raft.Core.Append_entries
+           { term; leader_id; prev_log_index; prev_log_term; leader_commit; entries });
+        (let+ term = u32 and+ success = bool and+ from = u32 and+ match_index = u32 in
+         Raft.Core.Append_entries_resp { term; success; from; match_index });
+      ]
+  in
+  let ends_in_entries = function Raft.Core.Append_entries _ -> true | _ -> false in
+  oneof
+    [
+      request;
+      response;
+      cmd;
+      map (fun e -> S ("raft entry", Raft.Wire.entry_codec, false, e)) entry;
+      map (fun m -> S ("raft msg", Raft.Wire.msg_codec, ends_in_entries m, m)) msg;
+      (let+ shard = u32 and+ m = msg in
+       S ("raft frame", Service.Kv_proto.raft_frame_codec, ends_in_entries m, (shard, m)));
+    ]
+
+let schema_property (S (name, c, tail, v)) =
+  let fail fmt = Printf.ksprintf (fun m -> QCheck2.Test.fail_reportf "%s: %s" name m) fmt in
+  let b = Codec.to_bytes c v in
+  let n = Bytes.length b in
+  if Codec.size c v <> n then fail "size %d, encoded %d" (Codec.size c v) n;
+  if Codec.encoded_size ~backend:Codec.Compact c v <> n then fail "encoded_size differs";
+  let big = Bytes.make (n + 8) '\xAA' in
+  if Codec.encode ~backend:Codec.Compact c big 3 v <> n + 3 then fail "encode end offset";
+  if Bytes.sub big (n + 3) 5 <> Bytes.make 5 '\xAA' then fail "encode wrote past its size";
+  if Codec.to_bytes c (Codec.of_bytes c b) <> b then fail "decode does not re-encode";
+  for k = 0 to n - 1 do
+    let p = Bytes.sub b 0 k in
+    match Codec.of_bytes c p with
+    | v' -> if not (tail && Codec.to_bytes c v' = p) then fail "%d-byte prefix decoded" k
+    | exception Codec.Decode_error _ -> ()
+    | exception e -> fail "%d-byte prefix raised %s" k (Printexc.to_string e)
+  done;
+  (match Codec.of_bytes c (Bytes.cat b (Bytes.make 1 '\000')) with
+  | _ -> fail "trailing byte accepted"
+  | exception Codec.Decode_error _ -> ());
+  true
+
+let qcheck_schema_properties =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"service and raft schema properties" ~count:500 schema_gen
+       schema_property)
+
+(* {2 Allocation budgets}
+
+   Minor-heap words per call on the service's hot codec paths, averaged
+   over 10k calls. A decode may allocate its result and one 2-word read
+   cursor, nothing else; an encode into an existing msgbuf allocates
+   nothing of the codec's own. (Word counts: 7 for the 6-field request
+   record, 4 for a 16-byte string, 10 for a 64-byte one, 13 for an
+   88-byte command.) *)
+
+let words_per_call f =
+  f ();
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    f ()
+  done;
+  (Gc.minor_words () -. w0) /. 10_000.
+
+let check_budget name budget f =
+  let w = words_per_call f in
+  if w > budget then
+    Alcotest.failf "%s: %.1f minor words/call (budget %.0f)" name w budget
+
+let test_allocation_budgets () =
+  let put =
+    {
+      Service.Kv_proto.op = Service.Kv_proto.Put;
+      shard = 3;
+      client_id = 7;
+      seq = 42;
+      key = key16;
+      value = ramp64;
+    }
+  in
+  let m = Erpc.Msgbuf.alloc ~max_size:256 in
+  check_budget "write_request into an existing msgbuf" 0. (fun () ->
+      Service.Kv_proto.write_request m put);
+  let get = { put with op = Service.Kv_proto.Get; value = "" } in
+  check_budget "write_request (GET)" 0. (fun () -> Service.Kv_proto.write_request m get);
+  Service.Kv_proto.write_request m put;
+  (* record 7 + key 4 + value 10 + cursor 2 *)
+  check_budget "read_request" 23. (fun () ->
+      ignore (Sys.opaque_identity (Service.Kv_proto.read_request m)));
+  let cmd = Service.Kv_proto.encode_cmd ~client_id:7 ~seq:42 ~key:key16 ~value:ramp64 in
+  (* 4-tuple 5 + key 4 + value 10 + cursor 2 *)
+  check_budget "decode_cmd" 21. (fun () ->
+      ignore (Sys.opaque_identity (Service.Kv_proto.decode_cmd cmd)));
+  let ae =
+    Raft.Core.Append_entries
+      {
+        term = 2;
+        leader_id = 1;
+        prev_log_index = 5;
+        prev_log_term = 2;
+        leader_commit = 4;
+        entries = [ { Raft.Log.term = 2; cmd } ];
+      }
+  in
+  (* the (shard, msg) frame tuple 3 + the variant's case projection 2,
+     once for sizing and once for writing *)
+  check_budget "write_raft_frame (one-entry AppendEntries)" 7. (fun () ->
+      Service.Kv_proto.write_raft_frame m ~shard:1 ae);
+  (* cursor 2 + frame tuple 3 + message 7 + entry 3 + command 13 + the
+     entry list, built reversed (2 cons cells, 6) *)
+  check_budget "read_raft_frame (one-entry AppendEntries)" 34. (fun () ->
+      ignore (Sys.opaque_identity (Service.Kv_proto.read_raft_frame m)))
 
 (* {2 Typed msgbuf integration} *)
 
@@ -528,6 +773,10 @@ let suite =
     Alcotest.test_case "golden raft" `Quick test_golden_raft;
     Alcotest.test_case "golden raft frame" `Quick test_golden_raft_frame;
     Alcotest.test_case "kv request flat leaves" `Quick test_kv_request_flat_leaves;
+    Alcotest.test_case "kv put value length" `Quick test_kv_put_value_length;
+    Alcotest.test_case "raft reply max size" `Quick test_raft_reply_max_size;
+    qcheck_schema_properties;
+    Alcotest.test_case "allocation budgets" `Quick test_allocation_budgets;
     Alcotest.test_case "typed write semantics" `Quick test_typed_write_semantics;
     Alcotest.test_case "typed write + checksum" `Quick test_typed_write_checksum_compose;
     Alcotest.test_case "alloc_and_write" `Quick test_alloc_and_write;
