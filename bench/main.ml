@@ -399,7 +399,7 @@ let micro () =
     let i = ref 0 in
     Staged.stage (fun () ->
         incr i;
-        Erpc.Timely.update tl ~sample_rtt_ns:(40_000 + (!i * 7919 mod 20_000)))
+        Erpc.Timely.update tl ~sample_rtt_ns:(40_000 + (!i * 7919 mod 20_000)) ~marked:false ~now_ns:0)
   in
   let hist_kernel =
     let h = Stats.Hist.create () in

@@ -19,7 +19,7 @@ let uncongested = function
    gets full signal without touching the datapath. *)
 let on_sample t ~rtt_ns ~marked ~now_ns =
   match t with
-  | Timely_cc tl -> Timely.update ~marked ~now_ns tl ~sample_rtt_ns:rtt_ns
+  | Timely_cc tl -> Timely.update tl ~sample_rtt_ns:rtt_ns ~marked ~now_ns
   | Dcqcn_cc d -> Dcqcn.on_ack ~rtt_ns d ~marked ~now_ns
 
 let pacing_delay_ns t ~bytes =

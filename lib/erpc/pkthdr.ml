@@ -1,14 +1,14 @@
 type pkt_type = Req | Cr | Rfr | Resp
 
 type t = {
-  req_type : int;
-  msg_size : int;
-  dest_session : int;
-  pkt_type : pkt_type;
-  pkt_num : int;
-  req_num : int;
-  token : int;
-  ecn_echo : bool;
+  mutable req_type : int;
+  mutable msg_size : int;
+  mutable dest_session : int;
+  mutable pkt_type : pkt_type;
+  mutable pkt_num : int;
+  mutable req_num : int;
+  mutable token : int;
+  mutable ecn_echo : bool;
 }
 
 let size = 16

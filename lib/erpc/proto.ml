@@ -40,8 +40,8 @@ type t = {
   mutable sn_hint : int;
       (* every index < sn_hint is occupied, so [fresh_sn] scans from here;
          keeps opening N sessions O(N) instead of O(N^2) *)
-  txq : sslot Queue.t;
-  retxq : sslot Queue.t;
+  txq : sslot Sim.Ring.t;
+  retxq : sslot Sim.Ring.t;
   trace : Obs.Trace.t;
   pid : int;
   tid : int;  (* the owning endpoint's thread track *)
@@ -60,8 +60,8 @@ let create ~env ~engine ~host ~cfg ~cost ~transport ~stats ~tid =
     sessions = Array.make 4 None;
     n_sessions = 0;
     sn_hint = 0;
-    txq = Queue.create ();
-    retxq = Queue.create ();
+    txq = Sim.Ring.create ~dummy:Session.nil_slot ();
+    retxq = Sim.Ring.create ~dummy:Session.nil_slot ();
     trace = Sim.Engine.trace engine;
     pid = Obs.Trace.host_pid host;
     tid;
@@ -138,8 +138,9 @@ let fail_pending_requests sess err =
       args.cont (Stdlib.Error err))
     sess.backlog;
   Queue.clear sess.backlog;
-  Queue.iter (fun waiter -> waiter.in_credit_waitq <- false) sess.credit_waiters;
-  Queue.clear sess.credit_waiters;
+  while not (Sim.Ring.is_empty sess.credit_waiters) do
+    (Session.slot sess (Sim.Ring.take sess.credit_waiters)).in_credit_waitq <- false
+  done;
   sess.credits <- sess.credit_limit
 
 (* Session reset (§4.3): entered after [max_retransmits] consecutive RTOs
@@ -158,7 +159,7 @@ let reset_session t sess =
 let rec push_txq t slot =
   if not slot.in_txq then begin
     slot.in_txq <- true;
-    Queue.add slot t.txq
+    Sim.Ring.push t.txq slot
   end
 
 and client_next_item_ready (cli : client_info) =
@@ -169,13 +170,14 @@ and client_next_item_ready (cli : client_info) =
     && k < cli.n_req_pkts + cli.n_resp_pkts - 1
     && cli.num_rx >= cli.n_req_pkts
 
+(* Sends up to [budget] packets of [slot]; returns the budget left. *)
 and service_slot_tx t slot budget =
   let sess = slot.session in
   if sess.state = Connected && slot.busy then begin
     match (slot.args, slot.cli) with
     | Some args, Some cli ->
-        let continue = ref true in
-        while !continue && !budget > 0 && sess.credits > 0 && client_next_item_ready cli do
+        let budget = ref budget in
+        while !budget > 0 && sess.credits > 0 && client_next_item_ready cli do
           send_tx_item t slot args cli;
           decr budget
         done;
@@ -185,12 +187,14 @@ and service_slot_tx t slot budget =
                so other slots of the session are not starved. *)
             if not slot.in_credit_waitq then begin
               slot.in_credit_waitq <- true;
-              Queue.add slot sess.credit_waiters
+              Sim.Ring.push sess.credit_waiters slot.index
             end
           end
-          else if !budget = 0 then push_txq t slot
-    | _ -> ()
+          else if !budget = 0 then push_txq t slot;
+        !budget
+    | _ -> budget
   end
+  else budget
 
 and send_tx_item t slot args cli =
   let sess = slot.session in
@@ -201,52 +205,31 @@ and send_tx_item t slot args cli =
   t.env.ch t.cost.credit_logic;
   let mtu = t.cfg.mtu in
   let flow = Wire.flow_hash ~src_host:t.host ~dst_host:sess.remote_host ~sn:sess.sn in
-  let pkt, wire_bytes =
-    if k < cli.n_req_pkts then begin
-      let msg_size = Msgbuf.size args.req in
-      let hdr =
-        {
-          Pkthdr.req_type = args.req_type;
-          msg_size;
-          dest_session = sess.remote_sn;
-          pkt_type = Pkthdr.Req;
-          pkt_num = k;
-          req_num = slot.req_num;
-          token = sess.token;
-          ecn_echo = false;
-        }
-      in
-      let len = Pkthdr.data_bytes hdr ~mtu in
-      t.env.ch t.cost.tx_data_pkt;
-      let payload = (Msgbuf.unsafe_bytes args.req, Msgbuf.unsafe_offset args.req + (k * mtu), len) in
-      ( Wire.make ~pool:t.pool ~src_host:t.host ~dst_host:sess.remote_host
-          ~dst_rpc:sess.remote_rpc_id ~wire_overhead:t.cfg.wire_overhead ~flow ~hdr ~payload (),
-        len + t.cfg.wire_overhead )
-    end
-    else begin
-      (* Request-for-response for response packet (k - N + 1). *)
-      let hdr =
-        {
-          Pkthdr.req_type = args.req_type;
-          msg_size = 0;
-          dest_session = sess.remote_sn;
-          pkt_type = Pkthdr.Rfr;
-          pkt_num = k - cli.n_req_pkts + 1;
-          req_num = slot.req_num;
-          token = sess.token;
-          ecn_echo = false;
-        }
-      in
-      t.env.ch t.cost.tx_ctrl_pkt;
-      ( Wire.make ~pool:t.pool ~src_host:t.host ~dst_host:sess.remote_host
-          ~dst_rpc:sess.remote_rpc_id ~wire_overhead:t.cfg.wire_overhead ~flow ~hdr (),
-        t.cfg.wire_overhead )
-    end
+  (* Item [k] is request packet [k], or else the request-for-response for
+     response packet [k - N + 1]. *)
+  let is_req = k < cli.n_req_pkts in
+  let msg_size = if is_req then Msgbuf.size args.req else 0 in
+  let len =
+    let offset = k * mtu in
+    if offset >= msg_size then 0 else min mtu (msg_size - offset)
   in
+  t.env.ch (if is_req then t.cost.tx_data_pkt else t.cost.tx_ctrl_pkt);
+  let pkt =
+    Wire.make t.pool ~src_host:t.host ~dst_host:sess.remote_host ~dst_rpc:sess.remote_rpc_id
+      ~wire_overhead:t.cfg.wire_overhead ~flow ~req_type:args.req_type ~msg_size
+      ~dest_session:sess.remote_sn
+      ~pkt_type:(if is_req then Pkthdr.Req else Pkthdr.Rfr)
+      ~pkt_num:(if is_req then k else k - cli.n_req_pkts + 1)
+      ~req_num:slot.req_num ~token:sess.token ~ecn_echo:false
+      ~data:(if is_req then Msgbuf.unsafe_bytes args.req else Bytes.empty)
+      ~off:(if is_req then Msgbuf.unsafe_offset args.req + (k * mtu) else 0)
+      ~len
+  in
+  let wire_bytes = len + t.cfg.wire_overhead in
   (* Only retransmitted REQUEST DATA packets reference the request msgbuf
      from the rate limiter; RFRs are header-only, so they never force
      response drops (Appendix C). *)
-  let is_retx = k < cli.max_tx && k < cli.n_req_pkts in
+  let is_retx = k < cli.max_tx && is_req in
   cli.num_tx <- k + 1;
   if cli.num_tx > cli.max_tx then cli.max_tx <- cli.num_tx;
   if Obs.Trace.enabled t.trace then tag_pkt t ~ssn:sess.sn pkt;
@@ -266,7 +249,7 @@ and arm_rto t slot =
                   trace_sslot t ~name:"rto_fire" ~sn:slot.session.sn
                     ~req:slot.req_num [];
                 slot.needs_retx <- true;
-                Queue.add slot t.retxq;
+                Sim.Ring.push t.retxq slot;
                 t.env.wake ()
               end)
         in
@@ -359,8 +342,8 @@ and accept_rx_item t slot (cli : client_info) ~marked =
   sess.credits <- sess.credits + 1;
   t.env.ch t.cost.credit_logic;
   (* A credit became available: unpark slots blocked on credits. *)
-  while not (Queue.is_empty sess.credit_waiters) do
-    let waiter = Queue.take sess.credit_waiters in
+  while not (Sim.Ring.is_empty sess.credit_waiters) do
+    let waiter = Session.slot sess (Sim.Ring.take sess.credit_waiters) in
     waiter.in_credit_waitq <- false;
     if waiter.busy then push_txq t waiter
   done;
@@ -466,23 +449,13 @@ and admit_backlog t sess =
 
 (* {2 Server RX} *)
 
-and send_server_pkt t sess slot ~pkt_type ~pkt_num ~msg_size ~payload ~req_type ~ecn_echo =
-  let hdr =
-    {
-      Pkthdr.req_type;
-      msg_size;
-      dest_session = sess.remote_sn;
-      pkt_type;
-      pkt_num;
-      req_num = slot.req_num;
-      token = sess.token;
-      ecn_echo;
-    }
-  in
+and send_server_pkt t sess slot ~pkt_type ~pkt_num ~msg_size ~req_type ~ecn_echo ~data ~off
+    ~len =
   let flow = Wire.flow_hash ~src_host:t.host ~dst_host:sess.remote_host ~sn:sess.remote_sn in
   let pkt =
-    Wire.make ~pool:t.pool ~src_host:t.host ~dst_host:sess.remote_host
-      ~dst_rpc:sess.remote_rpc_id ~wire_overhead:t.cfg.wire_overhead ~flow ~hdr ?payload ()
+    Wire.make t.pool ~src_host:t.host ~dst_host:sess.remote_host ~dst_rpc:sess.remote_rpc_id
+      ~wire_overhead:t.cfg.wire_overhead ~flow ~req_type ~msg_size ~dest_session:sess.remote_sn
+      ~pkt_type ~pkt_num ~req_num:slot.req_num ~token:sess.token ~ecn_echo ~data ~off ~len
   in
   (match pkt_type with
   | Pkthdr.Cr -> t.env.ch t.cost.tx_ctrl_pkt
@@ -491,8 +464,8 @@ and send_server_pkt t sess slot ~pkt_type ~pkt_num ~msg_size ~payload ~req_type 
   t.env.post pkt
 
 and send_cr t sess slot ~pkt_num ~req_type ~ecn_echo =
-  send_server_pkt t sess slot ~pkt_type:Pkthdr.Cr ~pkt_num ~msg_size:0 ~payload:None ~req_type
-    ~ecn_echo
+  send_server_pkt t sess slot ~pkt_type:Pkthdr.Cr ~pkt_num ~msg_size:0 ~req_type ~ecn_echo
+    ~data:Bytes.empty ~off:0 ~len:0
 
 and send_resp_pkt t sess slot ~pkt_num ~ecn_echo =
   match slot.srv with
@@ -503,11 +476,10 @@ and send_resp_pkt t sess slot ~pkt_num ~ecn_echo =
         let off = pkt_num * mtu in
         if off >= msg_size then 0 else min mtu (msg_size - off)
       in
-      let payload =
-        Some (Msgbuf.unsafe_bytes resp, Msgbuf.unsafe_offset resp + (pkt_num * mtu), len)
-      in
-      send_server_pkt t sess slot ~pkt_type:Pkthdr.Resp ~pkt_num ~msg_size ~payload
-        ~req_type:0 ~ecn_echo
+      send_server_pkt t sess slot ~pkt_type:Pkthdr.Resp ~pkt_num ~msg_size ~req_type:0 ~ecn_echo
+        ~data:(Msgbuf.unsafe_bytes resp)
+        ~off:(Msgbuf.unsafe_offset resp + (pkt_num * mtu))
+        ~len
   | _ -> ()
 
 and begin_new_request t sess slot hdr =
@@ -679,22 +651,22 @@ let enqueue_request t sess ~req_type ~req ~resp ~cont =
 (* {2 Event-loop hooks} *)
 
 let drain_retx t =
-  while not (Queue.is_empty t.retxq) do
-    do_retransmit t (Queue.take t.retxq)
+  while not (Sim.Ring.is_empty t.retxq) do
+    do_retransmit t (Sim.Ring.take t.retxq)
   done
 
 let run_tx_burst t =
   let budget = ref t.cfg.tx_batch in
-  let n_in_txq = Queue.length t.txq in
+  let n_in_txq = Sim.Ring.length t.txq in
   let serviced = ref 0 in
-  while !budget > 0 && !serviced < n_in_txq && not (Queue.is_empty t.txq) do
+  while !budget > 0 && !serviced < n_in_txq && not (Sim.Ring.is_empty t.txq) do
     incr serviced;
-    let slot = Queue.take t.txq in
+    let slot = Sim.Ring.take t.txq in
     slot.in_txq <- false;
-    service_slot_tx t slot budget
+    budget := service_slot_tx t slot !budget
   done
 
-let has_pending_tx t = (not (Queue.is_empty t.txq)) || not (Queue.is_empty t.retxq)
+let has_pending_tx t = (not (Sim.Ring.is_empty t.txq)) || not (Sim.Ring.is_empty t.retxq)
 
 (* {2 Session table} *)
 
@@ -764,5 +736,5 @@ let clear_on_crash t =
   Array.fill t.sessions 0 (Array.length t.sessions) None;
   t.n_sessions <- 0;
   t.sn_hint <- 0;
-  Queue.clear t.txq;
-  Queue.clear t.retxq
+  Sim.Ring.clear t.txq;
+  Sim.Ring.clear t.retxq

@@ -1,10 +1,12 @@
 open Session
 
+(* Wheel entries are recycled through [we_free] once they fire, so pacing
+   a packet allocates nothing in steady state. *)
 type wheel_entry = {
-  we_slot : Session.sslot;
-  we_req_num : int;
-  we_item : int;  (* TX item index, to re-stamp the RTT clock at actual TX *)
-  we_pkt : Netsim.Packet.t;
+  mutable we_slot : Session.sslot;
+  mutable we_req_num : int;
+  mutable we_item : int;  (* TX item index, to re-stamp the RTT clock at actual TX *)
+  mutable we_pkt : Netsim.Packet.t;
 }
 
 type t = {
@@ -20,6 +22,8 @@ type t = {
   proto : Proto.t;
   bgq : (unit -> unit) Queue.t;
   mutable wheel : wheel_entry Wheel.t option;
+  mutable we_free : wheel_entry array;  (* stack of recycled entries *)
+  mutable we_nfree : int;
   mutable loop_scheduled : bool;
   mutable batch_ts : Sim.Time.t;
   stats_ : Rpc_stats.t;
@@ -29,6 +33,7 @@ type t = {
   mutable activate_ev : unit -> unit;
   mutable wake_ev : unit -> unit;
   mutable rx_each : Netsim.Packet.t -> unit;
+  mutable wheel_each : wheel_entry -> unit;
   tx_deferred : Netsim.Packet.t Sim.Ring.t;
   mutable tx_deferred_ev : unit -> unit;
   trace : Obs.Trace.t;
@@ -119,8 +124,7 @@ and activate t =
     (* Rate limiter. *)
     (match t.wheel with
     | Some wheel when Wheel.pending wheel > 0 ->
-        ignore
-          (Wheel.poll wheel ~now:(Sim.Engine.now t.engine) (fun entry -> wheel_fire t entry))
+        ignore (Wheel.poll wheel ~now:(Sim.Engine.now t.engine) t.wheel_each)
     | _ -> ());
     (* TX burst. *)
     Proto.run_tx_burst t.proto;
@@ -208,8 +212,19 @@ and transmit_cc t slot pkt ~wire_bytes ~tx_item ~is_retx =
                 t.wheel <- Some w;
                 w
           in
-          Wheel.insert wheel ~now ~at:ts
-            { we_slot = slot; we_req_num = slot.req_num; we_item = tx_item; we_pkt = pkt };
+          let entry =
+            if t.we_nfree > 0 then begin
+              t.we_nfree <- t.we_nfree - 1;
+              let e = t.we_free.(t.we_nfree) in
+              e.we_slot <- slot;
+              e.we_req_num <- slot.req_num;
+              e.we_item <- tx_item;
+              e.we_pkt <- pkt;
+              e
+            end
+            else { we_slot = slot; we_req_num = slot.req_num; we_item = tx_item; we_pkt = pkt }
+          in
+          Wheel.insert wheel ~now ~at:ts entry;
           if Obs.Trace.enabled t.trace then
             Obs.Trace.instant t.trace ~ts:now ~cat:"wheel" ~name:"insert"
               ~pid:t.pid ~tid:t.tid
@@ -252,10 +267,23 @@ and wheel_fire t entry =
     | None -> ());
     post_pkt t entry.we_pkt
   end
-  else
+  else begin
     (* Stale entry (its request was superseded or failed): the packet is
        never transmitted, so its only reference dies here. *)
     Netsim.Packet.free entry.we_pkt
+  end;
+  recycle_entry t entry
+
+and recycle_entry t entry =
+  entry.we_slot <- Session.nil_slot;
+  entry.we_pkt <- Netsim.Packet.nil;
+  if t.we_nfree = Array.length t.we_free then begin
+    let grown = Array.make (max 16 (2 * t.we_nfree)) entry in
+    Array.blit t.we_free 0 grown 0 t.we_nfree;
+    t.we_free <- grown
+  end;
+  t.we_free.(t.we_nfree) <- entry;
+  t.we_nfree <- t.we_nfree + 1
 
 (* {2 Handler dispatch (§3.2)} *)
 
@@ -571,12 +599,15 @@ let create nexus_ ~rpc_id =
       nexus_; rpc_id; host_; engine; cfg; cost; cpu_; transport_; shm_; proto; stats_;
       bgq = Queue.create ();
       wheel = None;
+      we_free = [||];
+      we_nfree = 0;
       loop_scheduled = false;
       batch_ts = Sim.Time.zero;
       rtt_probe = None;
       activate_ev = (fun () -> ());
       wake_ev = (fun () -> ());
       rx_each = (fun _ -> ());
+      wheel_each = (fun _ -> ());
       tx_deferred = Sim.Ring.create ~capacity:32 ~dummy:Netsim.Packet.nil ();
       tx_deferred_ev = (fun () -> ());
       trace;
@@ -588,6 +619,7 @@ let create nexus_ ~rpc_id =
   t.activate_ev <- (fun () -> activate t);
   t.wake_ev <- (fun () -> wake t);
   t.rx_each <- (fun pkt -> Proto.rx_pkt t.proto pkt);
+  t.wheel_each <- (fun entry -> wheel_fire t entry);
   t.tx_deferred_ev <-
     (fun () -> Transport.Iface.tx_burst t.transport_ (Sim.Ring.take t.tx_deferred));
   let m = Sim.Engine.metrics engine in

@@ -61,7 +61,7 @@ and session = {
   mutable credits : int;
   credit_limit : int;
   backlog : req_args Queue.t;
-  credit_waiters : sslot Queue.t;
+  credit_waiters : int Sim.Ring.t;  (* indices of slots parked on credits *)
   mutable cc : Cc.t option;
   mutable next_tx_ts : Sim.Time.t;
   mutable connect_cb : (unit, Err.t) result -> unit;
@@ -81,7 +81,7 @@ let create ~sn ~role ~token ~remote_host ~remote_rpc_id ~credits ~req_window =
     credits;
     credit_limit = credits;
     backlog = Queue.create ();
-    credit_waiters = Queue.create ();
+    credit_waiters = Sim.Ring.create ~capacity:4 ~dummy:(-1) ();
     cc = None;
     next_tx_ts = Sim.Time.zero;
     connect_cb = (fun _ -> ());
@@ -114,6 +114,12 @@ let slot session i =
       in
       session.slots.(i) <- Some s;
       s
+
+let nil_slot =
+  slot
+    (create ~sn:(-1) ~role:Client ~token:0 ~remote_host:(-1) ~remote_rpc_id:(-1) ~credits:0
+       ~req_window:1)
+    0
 
 let client_info sslot ~credits =
   match sslot.cli with

@@ -101,9 +101,9 @@ and session = {
   mutable credits : int;
   credit_limit : int;
   backlog : req_args Queue.t;
-  credit_waiters : sslot Queue.t;
-      (** slots with sendable packets blocked on credits; re-queued for TX
-          when a credit returns *)
+  credit_waiters : int Sim.Ring.t;
+      (** indices of slots with sendable packets blocked on credits;
+          re-queued for TX when a credit returns *)
   mutable cc : Cc.t option;  (** client sessions under congestion control *)
   mutable next_tx_ts : Sim.Time.t;  (** Carousel pacing cursor *)
   mutable connect_cb : (unit, Err.t) result -> unit;
@@ -122,6 +122,9 @@ val create :
 
 (** Slot [i], allocated on first use. *)
 val slot : session -> int -> sslot
+
+(** A slot of no real session: the padding value of slot queues. *)
+val nil_slot : sslot
 
 (** The client info record of a slot, allocated on first use with a
     timestamp ring of [credits] entries. *)

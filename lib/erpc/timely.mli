@@ -20,8 +20,9 @@ val uncongested : t -> bool
 (** Feed one acknowledgement sample. The rate computation uses only
     [sample_rtt_ns]; [marked] (ECN) and [now_ns] are recorded so the
     controller receives the same complete signal as {!Dcqcn} (and a future
-    algorithm can use them without re-plumbing the datapath). *)
-val update : ?marked:bool -> ?now_ns:Sim.Time.t -> t -> sample_rtt_ns:int -> unit
+    algorithm can use them without re-plumbing the datapath). Allocates
+    nothing. *)
+val update : t -> sample_rtt_ns:int -> marked:bool -> now_ns:Sim.Time.t -> unit
 
 (** ECN-marked acknowledgements seen (signal recorded, not acted on). *)
 val ecn_marks : t -> int

@@ -5,7 +5,9 @@
     their scheduled transmission time and drained in slot order by [poll].
     Entries beyond the horizon are clamped to the farthest slot — callers
     pick a horizon larger than the maximum pacing gap (MTU at the minimum
-    Timely rate), so clamping is a safety net, not a steady-state path. *)
+    Timely rate), so clamping is a safety net, not a steady-state path.
+    Entry cells are recycled, so steady-state [insert] and [poll] allocate
+    nothing. *)
 
 type 'a t
 

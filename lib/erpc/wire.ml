@@ -1,7 +1,7 @@
 type Netsim.Packet.body +=
   | Pkt of {
       mutable dst_rpc : int;
-      mutable hdr : Pkthdr.t;
+      hdr : Pkthdr.t;
       mutable data : bytes;
       mutable off : int;
       mutable len : int;
@@ -9,8 +9,8 @@ type Netsim.Packet.body +=
 
 (* Free-list of recycled packets, linked through [Packet.pool_next] and
    terminated by [Packet.nil]. Each endpoint owns one pool, so in steady
-   state the TX path allocates no packet records at all: a recycled record
-   (and its [Pkt] body) is rewritten in place. *)
+   state the TX path allocates nothing: a recycled record, its [Pkt] body
+   and the header the body owns are all rewritten in place. *)
 type pool = {
   mutable head : Netsim.Packet.t;
   mutable release : Netsim.Packet.t -> unit;
@@ -18,32 +18,19 @@ type pool = {
   mutable recycled : int;
 }
 
-let empty_hdr =
-  {
-    Pkthdr.req_type = 0;
-    msg_size = 0;
-    dest_session = 0;
-    pkt_type = Pkthdr.Cr;
-    pkt_num = 0;
-    req_num = 0;
-    token = 0;
-    ecn_echo = false;
-  }
-
 let create_pool () =
   let p =
     { head = Netsim.Packet.nil; release = Netsim.Packet.no_release; outstanding = 0; recycled = 0 }
   in
   p.release <-
     (fun pkt ->
-      (* Scrub references so a parked packet pins neither the payload
-         bytes (somebody's msgbuf) nor the last header. *)
+      (* Scrub the payload reference so a parked packet does not pin
+         somebody's msgbuf. The header holds no pointers. *)
       (match pkt.Netsim.Packet.body with
       | Pkt r ->
           r.data <- Bytes.empty;
           r.off <- 0;
-          r.len <- 0;
-          r.hdr <- empty_hdr
+          r.len <- 0
       | _ -> ());
       p.outstanding <- p.outstanding - 1;
       p.recycled <- p.recycled + 1;
@@ -54,38 +41,44 @@ let create_pool () =
 let pool_outstanding p = p.outstanding
 let pool_recycled p = p.recycled
 
-let make ?pool ~src_host ~dst_host ~dst_rpc ~wire_overhead ~flow ~hdr ?payload () =
-  let data, off, len =
-    match payload with None -> (Bytes.empty, 0, 0) | Some (b, o, l) -> (b, o, l)
-  in
+let make pool ~src_host ~dst_host ~dst_rpc ~wire_overhead ~flow ~req_type ~msg_size
+    ~dest_session ~pkt_type ~pkt_num ~req_num ~token ~ecn_echo ~data ~off ~len =
   let size_bytes = len + wire_overhead in
-  match pool with
-  | Some p when p.head != Netsim.Packet.nil ->
-      let pkt = p.head in
-      p.head <- pkt.Netsim.Packet.pool_next;
-      pkt.Netsim.Packet.pool_next <- Netsim.Packet.nil;
-      p.outstanding <- p.outstanding + 1;
-      (match pkt.Netsim.Packet.body with
-      | Pkt r ->
-          r.dst_rpc <- dst_rpc;
-          r.hdr <- hdr;
-          r.data <- data;
-          r.off <- off;
-          r.len <- len
-      | _ -> assert false);
-      Netsim.Packet.reinit pkt ~src:src_host ~dst:dst_host ~size_bytes ~flow_hash:flow;
-      pkt
-  | _ ->
-      let pkt =
-        Netsim.Packet.make ~src:src_host ~dst:dst_host ~size_bytes ~flow_hash:flow
-          (Pkt { dst_rpc; hdr; data; off; len })
-      in
-      (match pool with
-      | Some p ->
-          p.outstanding <- p.outstanding + 1;
-          pkt.Netsim.Packet.release <- p.release
-      | None -> ());
-      pkt
+  pool.outstanding <- pool.outstanding + 1;
+  let pkt = pool.head in
+  if pkt == Netsim.Packet.nil then begin
+    let hdr =
+      { Pkthdr.req_type; msg_size; dest_session; pkt_type; pkt_num; req_num; token; ecn_echo }
+    in
+    let pkt =
+      Netsim.Packet.make ~src:src_host ~dst:dst_host ~size_bytes ~flow_hash:flow
+        (Pkt { dst_rpc; hdr; data; off; len })
+    in
+    pkt.Netsim.Packet.release <- pool.release;
+    pkt
+  end
+  else begin
+    pool.head <- pkt.Netsim.Packet.pool_next;
+    pkt.Netsim.Packet.pool_next <- Netsim.Packet.nil;
+    Netsim.Packet.reinit pkt ~src:src_host ~dst:dst_host ~size_bytes ~flow_hash:flow;
+    (match pkt.Netsim.Packet.body with
+    | Pkt r ->
+        r.dst_rpc <- dst_rpc;
+        r.data <- data;
+        r.off <- off;
+        r.len <- len;
+        let h = r.hdr in
+        h.Pkthdr.req_type <- req_type;
+        h.msg_size <- msg_size;
+        h.dest_session <- dest_session;
+        h.pkt_type <- pkt_type;
+        h.pkt_num <- pkt_num;
+        h.req_num <- req_num;
+        h.token <- token;
+        h.ecn_echo <- ecn_echo
+    | _ -> assert false);
+    pkt
+  end
 
 let verify pkt = not pkt.Netsim.Packet.corrupted
 

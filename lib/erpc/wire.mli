@@ -13,15 +13,15 @@
 type Netsim.Packet.body +=
   | Pkt of {
       mutable dst_rpc : int;
-      mutable hdr : Pkthdr.t;
+      hdr : Pkthdr.t;  (** owned by the packet, rewritten on every reuse *)
       mutable data : bytes;  (** payload backing store (sender's msgbuf) *)
       mutable off : int;
       mutable len : int;
     }  (** Fields are mutable so pooled packets are rewritten in place. *)
 
 (** Per-endpoint free-list of recycled wire packets. In steady state
-    {!make} with a pool allocates nothing: the packet record and its [Pkt]
-    body are reused. *)
+    {!make} allocates nothing: the packet record, its [Pkt] body and its
+    header are reused. *)
 type pool
 
 val create_pool : unit -> pool
@@ -32,20 +32,30 @@ val pool_outstanding : pool -> int
 (** Packets served from the free-list so far (diagnostics). *)
 val pool_recycled : pool -> int
 
-(** Build a wire packet. [payload], when given, is referenced as a
-    [(bytes, off, len)] slice — never copied. The wire size is the payload
-    length plus [wire_overhead]. With [?pool], the record is drawn from
-    the free-list when possible and returns to it on {!Netsim.Packet.free}. *)
+(** [make pool ...] builds a wire packet, drawing the record from [pool]'s
+    free-list when possible (it returns there on {!Netsim.Packet.free}).
+    The header fields are written into the packet's own header. The
+    payload is referenced as the slice [data], [off], [len] — never copied;
+    control packets pass [Bytes.empty] and a zero length. The wire size is
+    [len + wire_overhead]. *)
 val make :
-  ?pool:pool ->
+  pool ->
   src_host:int ->
   dst_host:int ->
   dst_rpc:int ->
   wire_overhead:int ->
   flow:int ->
-  hdr:Pkthdr.t ->
-  ?payload:bytes * int * int ->
-  unit ->
+  req_type:int ->
+  msg_size:int ->
+  dest_session:int ->
+  pkt_type:Pkthdr.pkt_type ->
+  pkt_num:int ->
+  req_num:int ->
+  token:int ->
+  ecn_echo:bool ->
+  data:bytes ->
+  off:int ->
+  len:int ->
   Netsim.Packet.t
 
 (** Wire-checksum verification: [false] for packets mangled in flight. *)

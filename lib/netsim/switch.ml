@@ -5,7 +5,8 @@ type t = {
   pool : Buffer_pool.t;
   mutable ports : Port.t array;
   mutable num_ports : int;
-  routes : (int, int array) Hashtbl.t;
+  mutable routes : int array array;
+      (* destination host -> candidate egress ports; [||] = no route *)
   (* Packets crossing the switching fabric, paired with their egress port
      index. The transit latency is constant, so the preallocated [on_hop]
      event pops in scheduling order — no per-packet closure. *)
@@ -28,7 +29,7 @@ let create engine ~name ~latency_ns ~buffer_bytes ~alpha =
       pool = Buffer_pool.create ~capacity_bytes:buffer_bytes ~alpha;
       ports = [||];
       num_ports = 0;
-      routes = Hashtbl.create 64;
+      routes = [||];
       transit = Sim.Ring.create ~capacity:64 ~dummy:Packet.nil ();
       transit_port = Sim.Ring.create ~capacity:64 ~dummy:0 ();
       on_hop = (fun () -> ());
@@ -63,19 +64,26 @@ let port t i =
 
 let num_ports t = t.num_ports
 
-let set_route t ~dst ~ports = Hashtbl.replace t.routes dst ports
+let set_route t ~dst ~ports =
+  if Array.length ports = 0 then
+    invalid_arg (Printf.sprintf "Switch %s: empty port set for host %d" t.name dst);
+  if dst < 0 then invalid_arg (Printf.sprintf "Switch %s: negative host %d" t.name dst);
+  if dst >= Array.length t.routes then begin
+    let routes = Array.make (max (dst + 1) (2 * Array.length t.routes)) [||] in
+    Array.blit t.routes 0 routes 0 (Array.length t.routes);
+    t.routes <- routes
+  end;
+  t.routes.(dst) <- ports
 
 let receive t pkt =
-  match Hashtbl.find_opt t.routes pkt.Packet.dst with
-  | None ->
-      invalid_arg
-        (Printf.sprintf "Switch %s: no route for host %d" t.name pkt.Packet.dst)
-  | Some candidates ->
-      let n = Array.length candidates in
-      let idx = if n = 1 then 0 else pkt.Packet.flow_hash mod n in
-      Sim.Ring.push t.transit pkt;
-      Sim.Ring.push t.transit_port candidates.(idx);
-      Sim.Engine.schedule_after t.engine t.latency_ns t.on_hop
+  let dst = pkt.Packet.dst in
+  let candidates = if dst >= 0 && dst < Array.length t.routes then t.routes.(dst) else [||] in
+  let n = Array.length candidates in
+  if n = 0 then invalid_arg (Printf.sprintf "Switch %s: no route for host %d" t.name dst);
+  let idx = if n = 1 then 0 else pkt.Packet.flow_hash mod n in
+  Sim.Ring.push t.transit pkt;
+  Sim.Ring.push t.transit_port candidates.(idx);
+  Sim.Engine.schedule_after t.engine t.latency_ns t.on_hop
 
 let dropped_packets t =
   let total = ref 0 in

@@ -24,7 +24,9 @@ val port : t -> int -> Port.t
 val num_ports : t -> int
 
 (** [set_route t ~dst ~ports] routes packets for host [dst] to one of
-    [ports] (ECMP by flow hash). *)
+    [ports] (ECMP by flow hash). Raises [Invalid_argument] naming the
+    switch and [dst] if [ports] is empty (a packet for [dst] would have
+    nowhere to go) or [dst] is negative. *)
 val set_route : t -> dst:int -> ports:int array -> unit
 
 (** Ingress entry point. *)

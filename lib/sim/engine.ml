@@ -40,6 +40,13 @@ let schedule t at f =
 
 let schedule_after t delta f = schedule t (Time.add t.clock delta) f
 
+let schedule_id t at f =
+  let id = Timing_wheel.next_seq t.queue in
+  schedule t at f;
+  id
+
+let current_id t = Timing_wheel.last_seq t.queue
+
 (* Sentinel for the fused pop: a statically allocated closure no caller
    can accidentally schedule (closures without free variables are unique
    per definition site). *)

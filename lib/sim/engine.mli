@@ -33,6 +33,14 @@ val schedule : t -> Time.t -> (unit -> unit) -> unit
 (** [schedule_after t delta f] runs [f] at [now t + delta]. *)
 val schedule_after : t -> Time.t -> (unit -> unit) -> unit
 
+(** As [schedule], returning the event's id: the id {!current_id} reports
+    while that event runs. Ids are never reused within an engine. *)
+val schedule_id : t -> Time.t -> (unit -> unit) -> int
+
+(** Id of the event being executed (or, between events, of the last one
+    executed). *)
+val current_id : t -> int
+
 (** Run until the event queue is empty. *)
 val run : t -> unit
 

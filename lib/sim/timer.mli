@@ -1,8 +1,9 @@
 (** One-shot cancellable timer over an {!Engine}.
 
     Re-arming an armed timer replaces the previous deadline; stale engine
-    events are suppressed with a generation counter rather than removed from
-    the queue. *)
+    events are left in the queue and do nothing when they run (the timer
+    fires only from the event its last [arm] scheduled). Arming allocates
+    nothing beyond the engine's recycled event cell. *)
 
 type t
 

@@ -48,6 +48,7 @@ type 'a t = {
   mutable free : 'a cell; (* free-list through [next] *)
   mutable next_seq : int;
   mutable last : Time.t;
+  mutable last_seq : int;
 }
 
 let create () =
@@ -66,11 +67,14 @@ let create () =
     free = nil;
     next_seq = 0;
     last = Time.zero;
+    last_seq = -1;
   }
 
 let is_empty t = t.wheel_count = 0 && t.heap_size = 0
 let length t = t.wheel_count + t.heap_size
 let last_time t = t.last
+let last_seq t = t.last_seq
+let next_seq t = t.next_seq
 
 (* Count of set bits in a word holding a 32-bit occupancy mask. *)
 let popcount32 x =
@@ -317,6 +321,7 @@ let pop_if_before t horizon ~default =
   if c == t.nil then default
   else begin
     t.last <- c.time;
+    t.last_seq <- c.seq;
     let payload = c.payload in
     free_cell t c;
     payload
@@ -327,6 +332,7 @@ let pop t =
   if c == t.nil then None
   else begin
     t.last <- c.time;
+    t.last_seq <- c.seq;
     let time = c.time and payload = c.payload in
     free_cell t c;
     Some (time, payload)

@@ -27,6 +27,14 @@ val pop_if_before : 'a t -> Time.t -> default:'a -> 'a
 (** Timestamp of the most recently popped event. *)
 val last_time : 'a t -> Time.t
 
+(** Sequence number of the most recently popped event ([-1] before the
+    first pop). Every push takes the next number, so a sequence number
+    names one event from its push to its pop. *)
+val last_seq : 'a t -> int
+
+(** Sequence number the next {!push} will assign. *)
+val next_seq : 'a t -> int
+
 val peek_time : 'a t -> Time.t option
 val clear : 'a t -> unit
 

@@ -121,6 +121,29 @@ let test_switch_no_route_raises () =
   Alcotest.check_raises "no route" (Invalid_argument "Switch sw: no route for host 5") (fun () ->
       Netsim.Switch.receive sw (mk_pkt ~src:0 ~dst:5 ()))
 
+(* An empty candidate set used to be accepted and then crash the first
+   matching packet with [Division_by_zero]; it is now rejected where it is
+   installed, naming the switch and the destination. *)
+let test_switch_empty_route_rejected () =
+  let e = Sim.Engine.create () in
+  let sw = Netsim.Switch.create e ~name:"sw" ~latency_ns:0 ~buffer_bytes:1_000 ~alpha:1.0 in
+  Alcotest.check_raises "empty port set"
+    (Invalid_argument "Switch sw: empty port set for host 4") (fun () ->
+      Netsim.Switch.set_route sw ~dst:4 ~ports:[||]);
+  Alcotest.check_raises "still no route" (Invalid_argument "Switch sw: no route for host 4")
+    (fun () -> Netsim.Switch.receive sw (mk_pkt ~src:0 ~dst:4 ()));
+  let cfg =
+    {
+      Netsim.Network.default_config with
+      topology =
+        Netsim.Network.Two_tier
+          { tors = 2; hosts_per_tor = 2; spines = 1; uplinks_per_tor = 0; uplink_gbps = 100.0 };
+    }
+  in
+  Alcotest.check_raises "two-tier without uplinks"
+    (Invalid_argument "Switch tor0: empty port set for host 2") (fun () ->
+      ignore (Netsim.Network.create e cfg))
+
 let test_switch_ecmp_spreads_flows () =
   let e = Sim.Engine.create () in
   let sw = Netsim.Switch.create e ~name:"sw" ~latency_ns:0 ~buffer_bytes:10_000_000 ~alpha:8.0 in
@@ -264,6 +287,7 @@ let suite =
     Alcotest.test_case "port queue delay" `Quick test_port_queue_delay;
     Alcotest.test_case "switch routing" `Quick test_switch_routes_by_destination;
     Alcotest.test_case "switch no route" `Quick test_switch_no_route_raises;
+    Alcotest.test_case "switch empty route rejected" `Quick test_switch_empty_route_rejected;
     Alcotest.test_case "switch ECMP" `Quick test_switch_ecmp_spreads_flows;
     Alcotest.test_case "single switch delivery" `Quick test_single_switch_delivery;
     Alcotest.test_case "two-tier all pairs" `Quick test_two_tier_all_pairs;

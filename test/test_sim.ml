@@ -76,6 +76,29 @@ let test_rng_bernoulli () =
   let ratio = float_of_int !hits /. float_of_int n in
   check_bool (Printf.sprintf "p=0.3 measured %.3f" ratio) true (abs_float (ratio -. 0.3) < 0.01)
 
+(* Golden stream: splitmix64's published reference outputs for seed 0,
+   plus derived draws recorded before the state moved out of a boxed
+   int64. Every experiment's randomness flows from this stream, so a
+   representation change must not shift a single value. *)
+let test_rng_golden_stream () =
+  let r = Sim.Rng.create 0L in
+  List.iter
+    (fun want -> Alcotest.(check int64) "splitmix64 seed 0" want (Sim.Rng.next r))
+    [ 0xE220A8397B1DCDAFL; 0x6E789E6AA1B965F4L; 0x06C45D188009454FL ];
+  let r = Sim.Rng.create 42L in
+  Alcotest.(check (list int)) "int 1000" [ 605; 291; 954; 860; 250 ]
+    (List.init 5 (fun _ -> Sim.Rng.int r 1000));
+  Alcotest.(check (list (float 0.)))
+    "float"
+    [ 0x1.bc8863f47901bp-1; 0x1.bf4b38e229bb4p-3; 0x1.99ec6bdd3d3c5p-1 ]
+    (List.init 3 (fun _ -> Sim.Rng.float r));
+  let s = Sim.Rng.split r in
+  Alcotest.(check int64) "split child" 0x0C4292E221DC4866L (Sim.Rng.next s);
+  Alcotest.(check int64) "split parent" 0x9E54D738297F77AEL (Sim.Rng.next r);
+  Alcotest.(check (list bool)) "bool_with_prob" [ true; true; false ]
+    (List.init 3 (fun _ -> Sim.Rng.bool_with_prob r 0.5));
+  Alcotest.(check (float 0.)) "exponential" 0x1.058f738835a12p+6 (Sim.Rng.exponential r 100.)
+
 (* {2 Event queue} *)
 
 let test_event_queue_ordering () =
@@ -230,6 +253,53 @@ let test_timer_disarm_then_rearm () =
   check_int "fires once after rearm" 1 !fired;
   check_int "at rearmed deadline" 300 (Sim.Engine.now e)
 
+let test_timer_rearm_earlier () =
+  let e = Sim.Engine.create () in
+  let fired_at = ref [] in
+  let t = Sim.Timer.create e ~callback:(fun () -> fired_at := Sim.Engine.now e :: !fired_at) in
+  Sim.Timer.arm t 200;
+  Sim.Timer.arm t 100;
+  Sim.Engine.run e;
+  Alcotest.(check (list int)) "fires once, at the earlier deadline" [ 100 ] !fired_at;
+  check_bool "disarmed after fire" false (Sim.Timer.is_armed t)
+
+let test_timer_rearm_in_callback () =
+  let e = Sim.Engine.create () in
+  let fired_at = ref [] in
+  let self = ref None in
+  let t =
+    Sim.Timer.create e ~callback:(fun () ->
+        fired_at := Sim.Engine.now e :: !fired_at;
+        match !self with
+        | Some t when List.length !fired_at < 3 -> Sim.Timer.arm_after t 100
+        | _ -> ())
+  in
+  self := Some t;
+  Sim.Timer.arm t 100;
+  Sim.Engine.run e;
+  Alcotest.(check (list int)) "each re-arm fires once" [ 300; 200; 100 ] !fired_at
+
+let test_timer_arm_twice_same_time () =
+  let e = Sim.Engine.create () in
+  let fired = ref 0 in
+  let t = Sim.Timer.create e ~callback:(fun () -> incr fired) in
+  Sim.Timer.arm t 100;
+  Sim.Timer.arm t 100;
+  Sim.Engine.run e;
+  check_int "fires once" 1 !fired;
+  check_int "at the deadline" 100 (Sim.Engine.now e)
+
+let test_timer_disarm_rearm_same_deadline () =
+  let e = Sim.Engine.create () in
+  let fired = ref 0 in
+  let t = Sim.Timer.create e ~callback:(fun () -> incr fired) in
+  Sim.Timer.arm t 100;
+  Sim.Timer.disarm t;
+  Sim.Timer.arm t 100;
+  Sim.Engine.run e;
+  check_int "fires once" 1 !fired;
+  check_int "at the deadline" 100 (Sim.Engine.now e)
+
 let test_timer_deadline () =
   let e = Sim.Engine.create () in
   let t = Sim.Timer.create e ~callback:(fun () -> ()) in
@@ -279,6 +349,7 @@ let suite =
     Alcotest.test_case "rng float bounds" `Quick test_rng_float_bounds;
     Alcotest.test_case "rng uniformity" `Quick test_rng_uniformity;
     Alcotest.test_case "rng bernoulli" `Quick test_rng_bernoulli;
+    Alcotest.test_case "rng golden stream" `Quick test_rng_golden_stream;
     Alcotest.test_case "event queue ordering" `Quick test_event_queue_ordering;
     Alcotest.test_case "event queue FIFO ties" `Quick test_event_queue_fifo_ties;
     Alcotest.test_case "event queue peek" `Quick test_event_queue_peek;
@@ -291,6 +362,11 @@ let suite =
     Alcotest.test_case "timer rearm replaces" `Quick test_timer_rearm_replaces;
     Alcotest.test_case "timer disarm" `Quick test_timer_disarm;
     Alcotest.test_case "timer disarm+rearm" `Quick test_timer_disarm_then_rearm;
+    Alcotest.test_case "timer rearm earlier" `Quick test_timer_rearm_earlier;
+    Alcotest.test_case "timer rearm in callback" `Quick test_timer_rearm_in_callback;
+    Alcotest.test_case "timer arm twice same time" `Quick test_timer_arm_twice_same_time;
+    Alcotest.test_case "timer disarm+rearm same deadline" `Quick
+      test_timer_disarm_rearm_same_deadline;
     Alcotest.test_case "timer deadline" `Quick test_timer_deadline;
     Alcotest.test_case "cpu charges serialize" `Quick test_cpu_charges_extend;
     Alcotest.test_case "cpu idle gap" `Quick test_cpu_idle_gap;

@@ -13,14 +13,15 @@ let test_starts_uncongested () =
 let test_low_rtt_keeps_max_rate () =
   let t = Erpc.Timely.create (cc ()) ~link_gbps:25.0 in
   for _ = 1 to 100 do
-    Erpc.Timely.update t ~sample_rtt_ns:10_000 (* below t_low = 50 us *)
+    (* below t_low = 50 us *)
+    Erpc.Timely.update t ~sample_rtt_ns:10_000 ~marked:false ~now_ns:0
   done;
   check_bool "still uncongested" true (Erpc.Timely.uncongested t)
 
 let test_high_rtt_decreases_rate () =
   let t = Erpc.Timely.create (cc ()) ~link_gbps:25.0 in
   for i = 1 to 20 do
-    Erpc.Timely.update t ~sample_rtt_ns:(100_000 + (i * 20_000))
+    Erpc.Timely.update t ~sample_rtt_ns:(100_000 + (i * 20_000)) ~marked:false ~now_ns:0
   done;
   check_bool "rate dropped" true (Erpc.Timely.rate_bps t < 25e9);
   check_bool "congested" true (not (Erpc.Timely.uncongested t))
@@ -29,26 +30,26 @@ let test_above_t_high_decreases () =
   let t = Erpc.Timely.create (cc ()) ~link_gbps:25.0 in
   (* Flat RTT above t_high: gradient is 0, but absolute level forces MD. *)
   for _ = 1 to 50 do
-    Erpc.Timely.update t ~sample_rtt_ns:2_000_000
+    Erpc.Timely.update t ~sample_rtt_ns:2_000_000 ~marked:false ~now_ns:0
   done;
   check_bool "rate well below max" true (Erpc.Timely.rate_bps t < 20e9)
 
 let test_min_rate_clamp () =
   let t = Erpc.Timely.create (cc ()) ~link_gbps:25.0 in
   for i = 1 to 10_000 do
-    Erpc.Timely.update t ~sample_rtt_ns:(3_000_000 + (i * 1_000))
+    Erpc.Timely.update t ~sample_rtt_ns:(3_000_000 + (i * 1_000)) ~marked:false ~now_ns:0
   done;
   check_bool "clamped at min rate" true (Erpc.Timely.rate_bps t >= (cc ()).min_rate_bps)
 
 let test_recovery_after_congestion () =
   let t = Erpc.Timely.create (cc ()) ~link_gbps:25.0 in
   for i = 1 to 50 do
-    Erpc.Timely.update t ~sample_rtt_ns:(200_000 + (i * 10_000))
+    Erpc.Timely.update t ~sample_rtt_ns:(200_000 + (i * 10_000)) ~marked:false ~now_ns:0
   done;
   let low = Erpc.Timely.rate_bps t in
   (* RTT back below t_low: additive increase recovers. *)
   for _ = 1 to 20_000 do
-    Erpc.Timely.update t ~sample_rtt_ns:8_000
+    Erpc.Timely.update t ~sample_rtt_ns:8_000 ~marked:false ~now_ns:0
   done;
   check_bool "recovered" true (Erpc.Timely.rate_bps t > low);
   check_bool "back at max" true (Erpc.Timely.uncongested t)
@@ -63,10 +64,10 @@ let test_pacing_delay () =
 let test_samples_per_update_batching () =
   let t = Erpc.Timely.create (cc ~samples_per_update:8 ()) ~link_gbps:25.0 in
   for _ = 1 to 7 do
-    Erpc.Timely.update t ~sample_rtt_ns:2_000_000
+    Erpc.Timely.update t ~sample_rtt_ns:2_000_000 ~marked:false ~now_ns:0
   done;
   Alcotest.(check int) "no update before 8 samples" 0 (Erpc.Timely.updates t);
-  Erpc.Timely.update t ~sample_rtt_ns:2_000_000;
+  Erpc.Timely.update t ~sample_rtt_ns:2_000_000 ~marked:false ~now_ns:0;
   Alcotest.(check int) "one update at the 8th sample" 1 (Erpc.Timely.updates t);
   check_bool "that update acted" true (Erpc.Timely.rate_bps t < 25e9)
 
@@ -76,8 +77,8 @@ let test_gradient_response_proportional () =
   let fast = Erpc.Timely.create (cc ()) ~link_gbps:25.0 in
   let slow = Erpc.Timely.create (cc ()) ~link_gbps:25.0 in
   for i = 1 to 10 do
-    Erpc.Timely.update fast ~sample_rtt_ns:(60_000 + (i * 40_000));
-    Erpc.Timely.update slow ~sample_rtt_ns:(60_000 + (i * 1_000))
+    Erpc.Timely.update fast ~sample_rtt_ns:(60_000 + (i * 40_000)) ~marked:false ~now_ns:0;
+    Erpc.Timely.update slow ~sample_rtt_ns:(60_000 + (i * 1_000)) ~marked:false ~now_ns:0
   done;
   check_bool "steeper gradient, lower rate" true
     (Erpc.Timely.rate_bps fast < Erpc.Timely.rate_bps slow)
