@@ -6,10 +6,12 @@
    authors' testbed); the shape — who wins, by what factor, where behaviour
    changes — is the reproduction target.
 
-   `main.exe micro` additionally runs Bechamel microbenchmarks over the hot
-   datapath kernels (event queue, timing wheel, Timely, histogram, MICA,
-   Masstree, Raft codec), one Test.make per kernel. `main.exe all` runs
-   everything. *)
+   These are the sections of `erpc_sim paper SECTION`. `micro` runs
+   Bechamel microbenchmarks over the hot datapath kernels (event queue,
+   timing wheel, Timely, histogram, MICA, Masstree, Raft codec), one
+   Test.make per kernel; `json` writes the BENCH_small_rate.json and
+   BENCH_latency.json snapshots; `all` runs every section except
+   `fig5full` and `json`. *)
 
 let section title = Printf.printf "\n==== %s ====\n%!" title
 
@@ -469,88 +471,72 @@ let micro () =
         results)
     tests
 
-(* Full-scale multi-tenant SLO sweep: all three builtin scenarios at the
-   default population and horizon, with the determinism rerun enabled. *)
-let cluster_load_json () =
-  let results = Experiments.Exp_cluster_load.run_all ~rerun_check:true () in
-  List.iter (Format.printf "%a@." Experiments.Exp_cluster_load.pp_result) results;
-  let oc = open_out "BENCH_cluster_load.json" in
-  output_string oc (Obs.Json.to_string (Experiments.Exp_cluster_load.to_json results));
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "wrote BENCH_cluster_load.json\n%!"
+(* The BENCH_*.json schema: one object per benchmark with labeled rows. *)
+let bench_doc ~benchmark ~unit rows =
+  Obs.Json.(Obj [ ("benchmark", Str benchmark); ("unit", Str unit); ("rows", Arr rows) ])
+
+let small_rate_row ~batch (c : Transport.Cluster.t) (r : Experiments.Exp_small_rate.result) =
+  Obs.Json.(
+    Obj
+      [
+        ("cluster", Str c.name);
+        ("batch", Int batch);
+        ("per_thread_mrps", Float r.per_thread_mrps);
+        ("total_rpcs", Int r.total_rpcs);
+        ("retransmits", Int r.retransmits);
+      ])
 
 (* Machine-readable results for CI tracking: one JSON file per headline
-   benchmark, written to the current directory. Hand-rolled printing — the
-   values are numbers and fixed cluster names, no escaping needed. *)
+   benchmark, written to the current directory. *)
 let bench_json () =
-  let write path contents =
+  let write path doc =
     let oc = open_out path in
-    output_string oc contents;
+    output_string oc (Obs.Json.to_string doc);
+    output_char oc '\n';
     close_out oc;
     Printf.printf "wrote %s\n%!" path
   in
-  let rows_obj name unit rows =
-    Printf.sprintf "{\n  \"benchmark\": %S,\n  \"unit\": %S,\n  \"rows\": [\n%s\n  ]\n}\n"
-      name unit (String.concat ",\n" rows)
-  in
-  let small_rate =
-    List.map
-      (fun batch ->
-        let r =
-          Experiments.Exp_small_rate.run ~cluster:(Transport.Cluster.cx4 ~nodes:11 ()) ~batch ()
-        in
-        Printf.sprintf
-          "    { \"cluster\": \"CX4\", \"batch\": %d, \"per_thread_mrps\": %.4f, \
-           \"total_rpcs\": %d, \"retransmits\": %d }"
-          batch r.per_thread_mrps r.total_rpcs r.retransmits)
-      [ 3; 5; 11 ]
-  in
-  write "BENCH_small_rate.json" (rows_obj "small_rate" "Mrps" small_rate);
-  let latency =
-    List.map
-      (fun (r : Experiments.Exp_latency.row) ->
-        Printf.sprintf "    { \"cluster\": %S, \"rdma_read_us\": %.3f, \"erpc_us\": %.3f }"
-          r.cluster r.rdma_read_us r.erpc_us)
-      (Experiments.Exp_latency.run ~samples:1_000 ())
-  in
-  write "BENCH_latency.json" (rows_obj "latency" "us" latency);
-  cluster_load_json ()
+  let cluster = Transport.Cluster.cx4 ~nodes:11 () in
+  write "BENCH_small_rate.json"
+    (bench_doc ~benchmark:"small_rate" ~unit:"Mrps"
+       (List.map
+          (fun batch ->
+            small_rate_row ~batch cluster (Experiments.Exp_small_rate.run ~cluster ~batch ()))
+          [ 3; 5; 11 ]));
+  write "BENCH_latency.json"
+    (bench_doc ~benchmark:"latency" ~unit:"us"
+       (List.map
+          (fun (r : Experiments.Exp_latency.row) ->
+            Obs.Json.(
+              Obj
+                [
+                  ("cluster", Str r.cluster);
+                  ("rdma_read_us", Float r.rdma_read_us);
+                  ("erpc_us", Float r.erpc_us);
+                ]))
+          (Experiments.Exp_latency.run ~samples:1_000 ())))
 
-let () =
-  let arg = if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" in
-  match arg with
-  | "fig1" -> fig1 ()
-  | "table2" -> table2 ()
-  | "fig4" -> fig4 ()
-  | "table3" -> table3 ()
-  | "fig5" -> fig5 ()
-  | "fig5full" -> fig5 ~threads_list:[ 1; 2; 4; 6; 8; 10 ] ()
-  | "fig6" -> fig6 ()
-  | "table4" -> table4 ()
-  | "table5" -> table5 ()
-  | "table6" -> table6 ()
-  | "masstree" -> masstree ()
-  | "ablations" -> ablations ()
-  | "micro" -> micro ()
-  | "cluster-load" -> cluster_load_json ()
-  | "json" -> bench_json ()
-  | "all" ->
-      fig1 ();
-      table2 ();
-      fig4 ();
-      table3 ();
-      fig5 ();
-      fig6 ();
-      table4 ();
-      table5 ();
-      table6 ();
-      masstree ();
-      ablations ();
-      micro ()
-  | other ->
-      Printf.eprintf
-        "unknown bench %S; use \
-         fig1|table2|fig4|table3|fig5|fig5full|fig6|table4|table5|table6|masstree|micro|json|all\n"
-        other;
-      exit 1
+(* Every section by name, plus "all". *)
+let sections =
+  let each =
+    [
+      ("fig1", fig1);
+      ("table2", table2);
+      ("fig4", fig4);
+      ("table3", table3);
+      ("fig5", fun () -> fig5 ());
+      ("fig5full", fun () -> fig5 ~threads_list:[ 1; 2; 4; 6; 8; 10 ] ());
+      ("fig6", fig6);
+      ("table4", table4);
+      ("table5", table5);
+      ("table6", table6);
+      ("masstree", masstree);
+      ("ablations", ablations);
+      ("micro", micro);
+      ("json", bench_json);
+    ]
+  in
+  let all () =
+    List.iter (fun (name, f) -> if name <> "fig5full" && name <> "json" then f ()) each
+  in
+  each @ [ ("all", all) ]

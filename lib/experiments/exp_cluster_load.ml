@@ -343,25 +343,10 @@ let run_named ?seed ?scale ?horizon_ms name =
 (* Scenarios are independent (each builds its own engine and cluster),
    so [~jobs] fans them across domains; Par_sweep keeps scenario order,
    so the report is identical for any [jobs]. *)
-let run_all ?seed ?scale ?horizon_ms ?(rerun_check = false) ?jobs () =
+let run_all ?seed ?scale ?horizon_ms ?jobs () =
   let names = Array.of_list (List.map fst Workload.Traffic_spec.builtin) in
   Par_sweep.list ?jobs (Array.length names) (fun i ->
-      let name = names.(i) in
-      let r = run_named ?seed ?scale ?horizon_ms name in
-      if not rerun_check then r
-      else
-        let r2 = run_named ?seed ?scale ?horizon_ms name in
-        if r2.digest = r.digest then r
-        else
-          {
-            r with
-            violations =
-              r.violations
-              @ [
-                  Printf.sprintf "nondeterministic: rerun digest %s <> %s" r2.digest
-                    r.digest;
-                ];
-          })
+      run_named ?seed ?scale ?horizon_ms names.(i))
 
 let pp_result fmt r =
   Format.fprintf fmt "scenario %s (seed=%Ld, %d events, %d RPCs analyzed)@." r.scenario

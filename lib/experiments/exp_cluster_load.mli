@@ -64,14 +64,11 @@ val run :
 val run_named :
   ?seed:int64 -> ?scale:float -> ?horizon_ms:float -> string -> result
 
-(** All builtin scenarios in order. With [rerun_check] (default false),
-    each scenario runs twice and a digest mismatch is recorded as a
-    violation on that scenario's result. [~jobs] fans the scenarios
-    across that many OCaml domains; results stay in scenario order, so
-    the report is identical for any [jobs]. *)
+(** All builtin scenarios in order. [~jobs] fans the scenarios across
+    that many OCaml domains; results stay in scenario order, so the
+    report is identical for any [jobs]. *)
 val run_all :
-  ?seed:int64 -> ?scale:float -> ?horizon_ms:float -> ?rerun_check:bool ->
-  ?jobs:int -> unit -> result list
+  ?seed:int64 -> ?scale:float -> ?horizon_ms:float -> ?jobs:int -> unit -> result list
 
 val pp_result : Format.formatter -> result -> unit
 

@@ -220,3 +220,8 @@ let total_completed d =
     (fun acc per_host ->
       Array.fold_left (fun acc rpc -> acc + (Erpc.Rpc.stats rpc).Erpc.Rpc_stats.completed) acc per_host)
     0 d.rpcs
+
+let rerun ~digest run =
+  let r = run () in
+  let d = digest r and d2 = digest (run ()) in
+  (r, if d2 = d then [] else [ Printf.sprintf "nondeterministic: rerun digest %s <> %s" d2 d ])

@@ -110,3 +110,8 @@ val typed_driver_completed : typed_driver -> int
 
 (** Sum of completed client RPCs across all threads of a deployment. *)
 val total_completed : deployment -> int
+
+(** The [--rerun] determinism gate: [rerun ~digest run] calls [run] twice
+    and returns the first result with no violation if both digests agree,
+    else one violation naming both digests. *)
+val rerun : digest:('r -> string) -> (unit -> 'r) -> 'r * string list

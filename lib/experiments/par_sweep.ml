@@ -1,6 +1,6 @@
 (* Domain-parallel replication: fan independent seeded replications of
-   existing experiments across OCaml domains ([erpc_sim sweep], and the
-   [--jobs] flag on chaos/kv-chaos/cluster-load).
+   existing experiments across OCaml domains (the [--jobs] flag on
+   chaos/kv-chaos/cluster-load).
 
    This is the simulator's only parallel tier: each task builds its own
    engine, cluster and trace, so tasks share no mutable state

@@ -1,7 +1,7 @@
 (* Smoke tests for the experiment harnesses: short runs asserting that
    each reproduced result lands in a sane band around the paper's value.
-   The full-length runs live in bench/main.exe; these keep the experiment
-   code exercised by `dune runtest`. *)
+   The full-length runs are the `erpc_sim paper` sections; these keep the
+   experiment code exercised by `dune runtest`. *)
 
 let check_bool = Alcotest.(check bool)
 
@@ -178,6 +178,21 @@ let test_golden_bench_sim () =
       ("chaos", 12738, "398ecc13a6532db1a46dd6c439403152");
     ]
 
+(* The shared --rerun gate: equal digests pass; a run whose digest moves
+   between its two calls yields one violation naming both digests. *)
+let test_rerun_check () =
+  let r, v = Experiments.Harness.rerun ~digest:string_of_int (fun () -> 7) in
+  Alcotest.(check int) "first result returned" 7 r;
+  Alcotest.(check (list string)) "equal digests pass" [] v;
+  let calls = ref 0 in
+  let r, v =
+    Experiments.Harness.rerun ~digest:(Printf.sprintf "d%d") (fun () -> incr calls; !calls)
+  in
+  Alcotest.(check int) "first result returned" 1 r;
+  Alcotest.(check int) "run called twice" 2 !calls;
+  Alcotest.(check (list string)) "mismatch names both digests"
+    [ "nondeterministic: rerun digest d2 <> d1" ] v
+
 let suite =
   [
     Alcotest.test_case "table2 bands" `Quick test_latency_bands;
@@ -195,4 +210,5 @@ let suite =
     Alcotest.test_case "golden kv-chaos digest" `Quick test_golden_kv_chaos_digest;
     Alcotest.test_case "golden cluster-load digests" `Quick test_golden_cluster_load_digests;
     Alcotest.test_case "golden bench-sim fingerprints" `Quick test_golden_bench_sim;
+    Alcotest.test_case "shared rerun check" `Quick test_rerun_check;
   ]
