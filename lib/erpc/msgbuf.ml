@@ -1,9 +1,9 @@
 type ownership = Owned_by_app | Owned_by_erpc
 
 type t = {
-  bytes : bytes;
-  offset : int;  (* start of data region within [bytes] *)
-  max_size : int;
+  mutable bytes : bytes;
+  mutable offset : int;  (* start of data region within [bytes] *)
+  mutable max_size : int;  (* the three are rebound only on views *)
   mutable data_size : int;
   mutable owner : ownership;
   is_view : bool;
@@ -23,6 +23,16 @@ let alloc ~max_size =
 let view bytes ~off ~len =
   assert (off >= 0 && len >= 0 && off + len <= Bytes.length bytes);
   { bytes; offset = off; max_size = len; data_size = len; owner = Owned_by_erpc; is_view = true }
+
+let nil = view Bytes.empty ~off:0 ~len:0
+
+let rebind_view t bytes ~off ~len =
+  if (not t.is_view) || t == nil then invalid_arg "Msgbuf.rebind_view: not a rebindable view";
+  assert (off >= 0 && len >= 0 && off + len <= Bytes.length bytes);
+  t.bytes <- bytes;
+  t.offset <- off;
+  t.max_size <- len;
+  t.data_size <- len
 
 let max_size t = t.max_size
 let size t = t.data_size

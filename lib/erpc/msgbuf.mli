@@ -23,6 +23,16 @@ val alloc : max_size:int -> t
     are eRPC-owned (they alias the RX ring). *)
 val view : bytes -> off:int -> len:int -> t
 
+(** Point a view at [len] bytes of [bytes] starting at [off], in place:
+    the zero-copy RX path keeps one view per server slot and rebinds it
+    for each request instead of allocating. Raises [Invalid_argument] on
+    a buffer that owns its storage, and on {!nil}. *)
+val rebind_view : t -> bytes -> off:int -> len:int -> unit
+
+(** A zero-size view of no storage: the "no buffer" value of library
+    slots. It is never rebound. *)
+val nil : t
+
 val max_size : t -> int
 val size : t -> int
 

@@ -21,7 +21,8 @@ val fabric : t -> Fabric.t
 val host : t -> int
 val dead : t -> bool
 
-(** Register a handler for [req_type]. Registering twice raises. *)
+(** Register a handler for [req_type], a small non-negative integer.
+    Registering twice, or a negative type, raises. *)
 val register_handler : t -> req_type:int -> mode:handler_mode -> handler -> unit
 
 val handler : t -> int -> (handler_mode * handler) option

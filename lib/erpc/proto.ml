@@ -108,6 +108,18 @@ let trace_sslot ?ts t ~name ~sn ~req extra =
 let disarm_rto slot =
   match slot.rto with Some timer -> Sim.Timer.disarm timer | None -> ()
 
+(* Return a finished request's msgbufs to the application and clear the
+   slot's references to them, handing back the continuation to run. *)
+let release_args (cli : client_info) =
+  let cont = cli.cont in
+  Msgbuf.return_to_app cli.req;
+  Msgbuf.return_to_app cli.resp;
+  cli.req <- Msgbuf.nil;
+  cli.resp <- Msgbuf.nil;
+  cli.on_complete <- ignore;
+  cli.cont <- ignore;
+  cont
+
 (* Fail every in-flight and backlogged request of [sess] with [err]:
    timers are disarmed, rate-limiter references dropped, msgbufs returned
    to the application, and the session's credits restored to their limit
@@ -116,23 +128,18 @@ let fail_pending_requests sess err =
   Array.iter
     (fun s ->
       match s with
-      | Some ({ busy = true; args = Some args; _ } as slot) when sess.role = Client ->
+      | Some ({ busy = true; cli = Some c; _ } as slot) when sess.role = Client ->
           disarm_rto slot;
-          (match slot.cli with
-          | Some c ->
-              c.wheel_refs <- 0;
-              c.retx_in_wheel <- false;
-              c.consec_retx <- 0
-          | None -> ());
+          c.wheel_refs <- 0;
+          c.retx_in_wheel <- false;
+          c.consec_retx <- 0;
           slot.busy <- false;
-          slot.args <- None;
-          Msgbuf.return_to_app args.req;
-          Msgbuf.return_to_app args.resp;
-          args.cont (Stdlib.Error err)
+          let cont = release_args c in
+          cont (Stdlib.Error err)
       | _ -> ())
     sess.slots;
   Queue.iter
-    (fun args ->
+    (fun (args : req_args) ->
       Msgbuf.return_to_app args.req;
       Msgbuf.return_to_app args.resp;
       args.cont (Stdlib.Error err))
@@ -174,11 +181,11 @@ and client_next_item_ready (cli : client_info) =
 and service_slot_tx t slot budget =
   let sess = slot.session in
   if sess.state = Connected && slot.busy then begin
-    match (slot.args, slot.cli) with
-    | Some args, Some cli ->
+    match slot.cli with
+    | Some cli ->
         let budget = ref budget in
         while !budget > 0 && sess.credits > 0 && client_next_item_ready cli do
-          send_tx_item t slot args cli;
+          send_tx_item t slot cli;
           decr budget
         done;
         if client_next_item_ready cli then
@@ -192,11 +199,11 @@ and service_slot_tx t slot budget =
           end
           else if !budget = 0 then push_txq t slot;
         !budget
-    | _ -> budget
+    | None -> budget
   end
   else budget
 
-and send_tx_item t slot args cli =
+and send_tx_item t slot cli =
   let sess = slot.session in
   let k = cli.num_tx in
   let stamp = t.env.now_ts () in
@@ -208,7 +215,7 @@ and send_tx_item t slot args cli =
   (* Item [k] is request packet [k], or else the request-for-response for
      response packet [k - N + 1]. *)
   let is_req = k < cli.n_req_pkts in
-  let msg_size = if is_req then Msgbuf.size args.req else 0 in
+  let msg_size = if is_req then Msgbuf.size cli.req else 0 in
   let len =
     let offset = k * mtu in
     if offset >= msg_size then 0 else min mtu (msg_size - offset)
@@ -216,13 +223,13 @@ and send_tx_item t slot args cli =
   t.env.ch (if is_req then t.cost.tx_data_pkt else t.cost.tx_ctrl_pkt);
   let pkt =
     Wire.make t.pool ~src_host:t.host ~dst_host:sess.remote_host ~dst_rpc:sess.remote_rpc_id
-      ~wire_overhead:t.cfg.wire_overhead ~flow ~req_type:args.req_type ~msg_size
+      ~wire_overhead:t.cfg.wire_overhead ~flow ~req_type:cli.req_type ~msg_size
       ~dest_session:sess.remote_sn
       ~pkt_type:(if is_req then Pkthdr.Req else Pkthdr.Rfr)
       ~pkt_num:(if is_req then k else k - cli.n_req_pkts + 1)
       ~req_num:slot.req_num ~token:sess.token ~ecn_echo:false
-      ~data:(if is_req then Msgbuf.unsafe_bytes args.req else Bytes.empty)
-      ~off:(if is_req then Msgbuf.unsafe_offset args.req + (k * mtu) else 0)
+      ~data:(if is_req then Msgbuf.unsafe_bytes cli.req else Bytes.empty)
+      ~off:(if is_req then Msgbuf.unsafe_offset cli.req + (k * mtu) else 0)
       ~len
   in
   let wire_bytes = len + t.cfg.wire_overhead in
@@ -361,8 +368,8 @@ and client_rx t sess slot hdr data off len ~ecn =
      acknowledges a marked forward-path packet. *)
   let marked = ecn || hdr.Pkthdr.ecn_echo in
   if slot.busy && hdr.Pkthdr.req_num = slot.req_num then
-    match (slot.args, slot.cli) with
-    | Some args, Some cli -> (
+    match slot.cli with
+    | Some cli -> (
         match hdr.pkt_type with
         | Pkthdr.Cr ->
             (* CR for request packet [pkt_num] is RX item [pkt_num]. In
@@ -395,21 +402,21 @@ and client_rx t sess slot hdr data off len ~ecn =
                 ()
               else begin
                 if hdr.pkt_num = 0 then begin
-                  if hdr.msg_size > Msgbuf.max_size args.resp then
+                  if hdr.msg_size > Msgbuf.max_size cli.resp then
                     invalid_arg "eRPC: response larger than client's response msgbuf";
-                  Msgbuf.unsafe_set_size args.resp hdr.msg_size;
+                  Msgbuf.unsafe_set_size cli.resp hdr.msg_size;
                   cli.n_resp_pkts <- max 1 ((hdr.msg_size + t.cfg.mtu - 1) / t.cfg.mtu)
                 end;
                 (* Copy response data into the client's response msgbuf
                    (§3.1); this copy is a real CPU cost (§6.4). *)
                 if len > 0 then begin
-                  Msgbuf.blit_from_bytes data ~src_off:off args.resp
+                  Msgbuf.blit_from_bytes data ~src_off:off cli.resp
                     ~dst_off:(hdr.pkt_num * t.cfg.mtu) ~len;
                   t.env.charge_memcpy len
                 end;
                 accept_rx_item t slot cli ~marked;
                 if cli.num_rx = cli.n_req_pkts - 1 + cli.n_resp_pkts then
-                  complete_request t slot args
+                  complete_request t slot cli
                 else if client_next_item_ready cli && sess.credits > 0 then begin
                   push_txq t slot;
                   t.env.wake ()
@@ -417,34 +424,39 @@ and client_rx t sess slot hdr data off len ~ecn =
               end
             end
         | Pkthdr.Req | Pkthdr.Rfr -> ())
-    | _ -> ()
+    | None -> ()
 
-and complete_request t slot args =
+and complete_request t slot cli =
   let sess = slot.session in
   disarm_rto slot;
   t.stats.Rpc_stats.completed <- t.stats.Rpc_stats.completed + 1;
   let req_num = slot.req_num in
   slot.busy <- false;
-  slot.args <- None;
-  Msgbuf.return_to_app args.req;
-  Msgbuf.return_to_app args.resp;
+  (* The continuation may start a new request on this very slot, so the
+     arguments are taken out of it first. *)
+  let on_complete = cli.on_complete and resp = cli.resp in
+  let cont = release_args cli in
   t.env.ch t.cost.continuation;
   (* Completion hook (typed response deserialization) charges before the
      request is stamped done, so its CPU time lands inside this request's
      lifetime rather than leaking into the next one. *)
-  args.on_complete args.resp;
+  on_complete resp;
   if Obs.Trace.enabled t.trace then
     trace_sslot t ~ts:(t.env.cpu_time ()) ~name:"req_done" ~sn:sess.sn ~req:req_num [];
-  args.cont (Ok ());
+  cont (Ok ());
   (* Admit backlogged requests into freed slots. *)
   admit_backlog t sess
 
 and admit_backlog t sess =
   let continue = ref true in
   while !continue && not (Queue.is_empty sess.backlog) do
-    match Session.free_slot sess ~req_window:t.cfg.req_window with
-    | Some free -> start_request t free (Queue.take sess.backlog)
-    | None -> continue := false
+    let free = Session.free_slot sess ~req_window:t.cfg.req_window in
+    if free == Session.nil_slot then continue := false
+    else begin
+      let (a : req_args) = Queue.take sess.backlog in
+      start_request t free ~req_type:a.req_type ~req:a.req ~resp:a.resp
+        ~on_complete:a.on_complete ~cont:a.cont
+    end
   done
 
 (* {2 Server RX} *)
@@ -469,7 +481,7 @@ and send_cr t sess slot ~pkt_num ~req_type ~ecn_echo =
 
 and send_resp_pkt t sess slot ~pkt_num ~ecn_echo =
   match slot.srv with
-  | Some ({ resp_buf = Some resp; _ } as srv) when srv.handler_done ->
+  | Some { resp_buf = resp; handler_done = true; _ } ->
       let msg_size = Msgbuf.size resp in
       let mtu = t.cfg.mtu in
       let len =
@@ -487,17 +499,16 @@ and begin_new_request t sess slot hdr =
   assert (not srv.handler_running);
   (* The previous response buffer is released: the client has completed the
      previous request, or it would not have issued a new one on this slot. *)
-  (match srv.resp_buf with
-  | Some resp when Msgbuf.owner resp = Msgbuf.Owned_by_erpc -> Msgbuf.return_to_app resp
-  | _ -> ());
-  srv.resp_buf <- None;
+  let resp = srv.resp_buf in
+  if resp != Msgbuf.nil && Msgbuf.owner resp = Msgbuf.Owned_by_erpc then
+    Msgbuf.return_to_app resp;
+  srv.resp_buf <- Msgbuf.nil;
   (* Recycle the assembly buffer: the completed request's bytes are dead,
      and the next multi-packet request on this slot can blit into the same
-     storage instead of allocating. Views alias the RX ring — never kept. *)
-  (match srv.req_buf with
-  | Some b when not (Msgbuf.is_view b) -> srv.spare_req_buf <- Some b
-  | _ -> ());
-  srv.req_buf <- None;
+     storage instead of allocating. Views alias the RX ring — never kept;
+     [Msgbuf.nil] is a view too. *)
+  if not (Msgbuf.is_view srv.req_buf) then srv.spare_req_buf <- srv.req_buf;
+  srv.req_buf <- Msgbuf.nil;
   srv.handler_done <- false;
   srv.num_rx <- 0;
   srv.n_req_pkts <- max 1 ((hdr.Pkthdr.msg_size + t.cfg.mtu - 1) / t.cfg.mtu);
@@ -556,45 +567,43 @@ and store_req_data t _slot srv hdr data off len =
   let zero_copy_ok =
     single_pkt && t.cfg.opts.zero_copy_rx && t.env.zero_copy_dispatch hdr.Pkthdr.req_type
   in
-  if zero_copy_ok then
-    (* Dispatch handler runs directly on the RX ring buffer (§4.2.3). *)
-    srv.req_buf <- Some (Msgbuf.view data ~off ~len)
+  if zero_copy_ok then begin
+    (* Dispatch handler runs directly on the RX ring buffer (§4.2.3),
+       through the slot's view rebound to this packet. *)
+    Msgbuf.rebind_view srv.req_view data ~off ~len;
+    srv.req_buf <- srv.req_view
+  end
   else begin
-    (match srv.req_buf with
-    | Some _ -> ()
-    | None ->
-        (* The modeled allocation cost is charged whether or not the
-           host-level buffer is recycled, so traces are identical either
-           way. *)
-        t.env.ch t.cost.dyn_alloc;
-        let buf =
-          match srv.spare_req_buf with
-          | Some spare when Msgbuf.max_size spare >= hdr.msg_size ->
-              srv.spare_req_buf <- None;
-              Msgbuf.unsafe_set_size spare hdr.msg_size;
-              spare
-          | _ ->
-              let b = Msgbuf.alloc ~max_size:hdr.msg_size in
-              Msgbuf.take_for_erpc b;
-              b
-        in
-        srv.req_buf <- Some buf);
+    if srv.req_buf == Msgbuf.nil then begin
+      (* The modeled allocation cost is charged whether or not the
+         host-level buffer is recycled, so traces are identical either
+         way. *)
+      t.env.ch t.cost.dyn_alloc;
+      let spare = srv.spare_req_buf in
+      if spare != Msgbuf.nil && Msgbuf.max_size spare >= hdr.msg_size then begin
+        srv.spare_req_buf <- Msgbuf.nil;
+        Msgbuf.unsafe_set_size spare hdr.msg_size;
+        srv.req_buf <- spare
+      end
+      else begin
+        let b = Msgbuf.alloc ~max_size:hdr.msg_size in
+        Msgbuf.take_for_erpc b;
+        srv.req_buf <- b
+      end
+    end;
     if len > 0 then begin
-      match srv.req_buf with
-      | Some buf ->
-          Msgbuf.blit_from_bytes data ~src_off:off buf ~dst_off:(hdr.pkt_num * t.cfg.mtu) ~len;
-          t.env.charge_memcpy len
-      | None -> assert false
+      Msgbuf.blit_from_bytes data ~src_off:off srv.req_buf
+        ~dst_off:(hdr.pkt_num * t.cfg.mtu) ~len;
+      t.env.charge_memcpy len
     end
   end
 
 (* {2 Client request admission} *)
 
-and start_request t slot args =
+and start_request t slot ~req_type ~req ~resp ~on_complete ~cont =
   let sess = slot.session in
   slot.req_num <- slot.req_num + t.cfg.req_window;
   slot.busy <- true;
-  slot.args <- Some args;
   slot.issue_time <- Sim.Engine.now t.engine;
   if Obs.Trace.enabled t.trace then
     trace_sslot t ~name:"req_start" ~sn:sess.sn ~req:slot.req_num [];
@@ -607,7 +616,12 @@ and start_request t slot args =
   cli.num_rx <- 0;
   cli.max_tx <- 0;
   cli.consec_retx <- 0;
-  cli.n_req_pkts <- Msgbuf.num_pkts args.req ~mtu:t.cfg.mtu;
+  cli.req_type <- req_type;
+  cli.req <- req;
+  cli.resp <- resp;
+  cli.on_complete <- on_complete;
+  cli.cont <- cont;
+  cli.n_req_pkts <- Msgbuf.num_pkts req ~mtu:t.cfg.mtu;
   cli.n_resp_pkts <- -1;
   arm_rto t slot;
   push_txq t slot;
@@ -622,7 +636,7 @@ let enqueue_response t sess slot srv resp =
   if Obs.Trace.enabled t.trace then
     trace_sslot t ~name:"srv_resp" ~sn:sess.sn ~req:slot.req_num [];
   if Msgbuf.owner resp = Msgbuf.Owned_by_app then Msgbuf.take_for_erpc resp;
-  srv.resp_buf <- Some resp;
+  srv.resp_buf <- resp;
   send_resp_pkt t sess slot ~pkt_num:0 ~ecn_echo:srv.ecn_pending
 
 let enqueue_request_hooked t sess ~req_type ~req ~resp ~on_complete ~cont =
@@ -632,21 +646,22 @@ let enqueue_request_hooked t sess ~req_type ~req ~resp ~on_complete ~cont =
   t.env.ch t.cost.enqueue_request;
   Msgbuf.take_for_erpc req;
   Msgbuf.take_for_erpc resp;
-  let args = { req_type; req; resp; on_complete; cont } in
   match sess.state with
   | Error _ | Destroyed ->
       Msgbuf.return_to_app req;
       Msgbuf.return_to_app resp;
       Sim.Engine.schedule_after t.engine 0 (fun () ->
           cont (Stdlib.Error (Err.Session_error "session closed")))
-  | Connect_pending -> Queue.add args sess.backlog
-  | Connected -> (
-      match Session.free_slot sess ~req_window:t.cfg.req_window with
-      | Some slot -> start_request t slot args
-      | None -> Queue.add args sess.backlog)
+  | Connect_pending ->
+      Queue.add ({ req_type; req; resp; on_complete; cont } : req_args) sess.backlog
+  | Connected ->
+      let slot = Session.free_slot sess ~req_window:t.cfg.req_window in
+      if slot == Session.nil_slot then
+        Queue.add ({ req_type; req; resp; on_complete; cont } : req_args) sess.backlog
+      else start_request t slot ~req_type ~req ~resp ~on_complete ~cont
 
 let enqueue_request t sess ~req_type ~req ~resp ~cont =
-  enqueue_request_hooked t sess ~req_type ~req ~resp ~on_complete:(fun _ -> ()) ~cont
+  enqueue_request_hooked t sess ~req_type ~req ~resp ~on_complete:ignore ~cont
 
 (* {2 Event-loop hooks} *)
 

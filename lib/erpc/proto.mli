@@ -91,7 +91,7 @@ val enqueue_request :
 
 (** As [enqueue_request], with a completion hook that runs on success just
     before [cont], with the filled response msgbuf — see
-    {!Session.req_args}. *)
+    {!Session.client_info}. *)
 val enqueue_request_hooked :
   t ->
   Session.session ->

@@ -1,40 +1,57 @@
 type t = {
-  req_type : int;
-  req : Msgbuf.t;
-  mutable resp : Msgbuf.t option;
+  mutable req_type : int;
+  mutable req : Msgbuf.t;
+  mutable req_num : int;
   mutable responded : bool;
-  mutable charge_fn : int -> unit;
-  mutable init_resp_fn : int -> Msgbuf.t;
+  mutable cpu : Sim.Cpu.t;
+  mutable resp : Msgbuf.t;
+  mutable prealloc_resp : Msgbuf.t;
+  codec_mode : Codec.backend * bool;
+  mutable slot_req_num : unit -> int;
+  mutable charge_fn : t -> int -> unit;
+  mutable init_resp_fn : t -> int -> Msgbuf.t;
+  mutable codec_charge_fn :
+    t -> deser:bool -> backend:Codec.backend -> leaves:int -> bytes:int -> unit;
   mutable enqueue_fn : t -> Msgbuf.t -> unit;
-  mutable codec_mode_fn : unit -> Codec.backend * bool;
-  mutable codec_charge_fn : deser:bool -> backend:Codec.backend -> leaves:int -> bytes:int -> unit;
+  mutable run_on_worker : Sim.Cpu.t -> unit;
 }
 
 let get_request t = t.req
 
-let charge t ns = t.charge_fn ns
+let charge t ns = t.charge_fn t ns
 
-let codec_mode t = t.codec_mode_fn ()
+let codec_mode t = t.codec_mode
 
 let charge_codec t ~deser ~backend ~leaves ~bytes =
-  t.codec_charge_fn ~deser ~backend ~leaves ~bytes
+  t.codec_charge_fn t ~deser ~backend ~leaves ~bytes
 
-let init_response t ~size = t.init_resp_fn size
+let init_response t ~size = t.init_resp_fn t size
 
 let enqueue_response t resp =
+  let current = t.slot_req_num () in
+  if t.req_num <> current then
+    invalid_arg
+      (Printf.sprintf
+         "Req_handle.enqueue_response: stale handle for request %d (its slot is at request %d)"
+         t.req_num current);
   if t.responded then invalid_arg "Req_handle.enqueue_response: already responded";
   t.responded <- true;
   t.enqueue_fn t resp
 
-let make ~req_type ~req =
+let create ~cpu ~codec_mode =
   {
-    req_type;
-    req;
-    resp = None;
-    responded = false;
-    charge_fn = (fun _ -> ());
-    init_resp_fn = (fun size -> Msgbuf.alloc ~max_size:size);
+    req_type = -1;
+    req = Msgbuf.nil;
+    req_num = -1;
+    responded = true;
+    cpu;
+    resp = Msgbuf.nil;
+    prealloc_resp = Msgbuf.nil;
+    codec_mode;
+    slot_req_num = (fun () -> -1);
+    charge_fn = (fun _ _ -> ());
+    init_resp_fn = (fun _ size -> Msgbuf.alloc ~max_size:size);
+    codec_charge_fn = (fun _ ~deser:_ ~backend:_ ~leaves:_ ~bytes:_ -> ());
     enqueue_fn = (fun _ _ -> invalid_arg "Req_handle: enqueue_fn not installed");
-    codec_mode_fn = (fun () -> (Codec.Compact, false));
-    codec_charge_fn = (fun ~deser:_ ~backend:_ ~leaves:_ ~bytes:_ -> ());
+    run_on_worker = (fun _ -> ());
   }

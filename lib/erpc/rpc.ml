@@ -20,7 +20,7 @@ type t = {
   transport_ : Transport.Iface.t;
   shm_ : Shm.endpoint option;  (* ring state when [cfg.shm_enabled] *)
   proto : Proto.t;
-  bgq : (unit -> unit) Queue.t;
+  bgq : (unit -> unit) Sim.Ring.t;
   mutable wheel : wheel_entry Wheel.t option;
   mutable we_free : wheel_entry array;  (* stack of recycled entries *)
   mutable we_nfree : int;
@@ -89,6 +89,32 @@ let charge_codec ?backend t ~deser ~leaves ~bytes =
   let backend = match backend with Some b -> b | None -> t.cfg.codec_backend in
   charge_codec_cpu t t.cpu_ ~traced:true ~deser ~backend ~leaves ~bytes
 
+(* {2 Request-handle operations}
+
+   Charged to the thread running the handler, [h.cpu]: the dispatch
+   thread, or a worker for Worker-mode handlers. *)
+
+let handle_charge t (h : Req_handle.t) ns =
+  ignore (Sim.Cpu.charge h.cpu (Cost_model.scaled t.cost ns))
+
+(* Worker CPUs have no trace track, so only dispatch-thread codec work
+   is traced. *)
+let handle_charge_codec t (h : Req_handle.t) ~deser ~backend ~leaves ~bytes =
+  charge_codec_cpu t h.cpu ~traced:(h.cpu == t.cpu_) ~deser ~backend ~leaves ~bytes
+
+(* A response that fits one packet uses the slot's preallocated MTU-sized
+   msgbuf (§4.3); anything larger is a modeled dynamic allocation. *)
+let handle_init_response t (h : Req_handle.t) size =
+  if t.cfg.opts.preallocated_responses && size <= t.cfg.mtu then begin
+    if h.prealloc_resp == Msgbuf.nil then h.prealloc_resp <- Msgbuf.alloc ~max_size:t.cfg.mtu;
+    Msgbuf.unsafe_set_size h.prealloc_resp size;
+    h.prealloc_resp
+  end
+  else begin
+    ch t t.cost.dyn_alloc;
+    Msgbuf.alloc ~max_size:size
+  end
+
 (* {2 Event loop scheduling} *)
 
 let rec schedule_activation t =
@@ -118,8 +144,8 @@ and activate t =
     if n_rx > 0 then ch t (Transport.Iface.replenish_rx t.transport_ n_rx);
     (* Background-thread completions (worker handler responses, failure
        cleanup). *)
-    while not (Queue.is_empty t.bgq) do
-      (Queue.take t.bgq) ()
+    while not (Sim.Ring.is_empty t.bgq) do
+      (Sim.Ring.take t.bgq) ()
     done;
     (* Rate limiter. *)
     (match t.wheel with
@@ -132,7 +158,7 @@ and activate t =
     if
       Transport.Iface.rx_ring_depth t.transport_ > 0
       || Proto.has_pending_tx t.proto
-      || not (Queue.is_empty t.bgq)
+      || not (Sim.Ring.is_empty t.bgq)
     then schedule_activation t;
     if Obs.Trace.enabled t.trace then
       (* One span per event-loop activation, spanning the CPU time this
@@ -292,50 +318,29 @@ and invoke_handler t sess slot srv req_type =
   | None -> () (* unknown request type: drop *)
   | Some (mode, handler_fn) -> (
       t.stats_.Rpc_stats.handled <- t.stats_.Rpc_stats.handled + 1;
-      let req =
-        match srv.req_buf with Some b -> b | None -> Msgbuf.view Bytes.empty ~off:0 ~len:0
-      in
-      let handle = Req_handle.make ~req_type ~req in
-      handle.Req_handle.init_resp_fn <-
-        (fun size ->
-          if t.cfg.opts.preallocated_responses && size <= t.cfg.mtu then begin
-            let buf =
-              match slot.prealloc_resp with
-              | Some b -> b
-              | None ->
-                  let b = Msgbuf.alloc ~max_size:t.cfg.mtu in
-                  slot.prealloc_resp <- Some b;
-                  b
-            in
-            Msgbuf.unsafe_set_size buf size;
-            buf
-          end
-          else begin
-            ch t t.cost.dyn_alloc;
-            Msgbuf.alloc ~max_size:size
-          end);
-      handle.Req_handle.enqueue_fn <-
-        (fun _h resp -> Proto.enqueue_response t.proto sess slot srv resp);
-      handle.Req_handle.codec_mode_fn <- (fun () -> codec_mode t);
+      (* Rebind the slot's handle to this request; every request starts on
+         the dispatch thread, so no mode leaks from the previous one. *)
+      let h = slot_handle t sess slot srv in
+      h.Req_handle.req_type <- req_type;
+      h.Req_handle.req <- srv.req_buf;
+      h.Req_handle.req_num <- slot.req_num;
+      h.Req_handle.responded <- false;
+      h.Req_handle.cpu <- t.cpu_;
       srv.handler_running <- true;
       match mode with
       | Nexus.Dispatch ->
-          handle.Req_handle.charge_fn <- (fun ns -> ch t ns);
-          handle.Req_handle.codec_charge_fn <-
-            (fun ~deser ~backend ~leaves ~bytes ->
-              charge_codec_cpu t t.cpu_ ~traced:true ~deser ~backend ~leaves ~bytes);
           ch t t.cost.handler_dispatch;
           if Obs.Trace.enabled t.trace then begin
             (* Span over the CPU time the handler charges to the dispatch
                timeline, placed where that work begins. *)
             let h_start = Sim.Cpu.next_free t.cpu_ in
-            handler_fn handle;
+            handler_fn h;
             Obs.Trace.complete t.trace ~ts:h_start
               ~dur:(max 0 (Sim.Time.sub (Sim.Cpu.next_free t.cpu_) h_start))
               ~cat:"rpc" ~name:"handler" ~pid:t.pid ~tid:t.tid
               [ ("type", Obs.Trace.I req_type) ]
           end
-          else handler_fn handle
+          else handler_fn h
       | Nexus.Worker ->
           (* Hand off to a background worker thread; the response comes
              back through the background queue (§3.2). *)
@@ -344,29 +349,54 @@ and invoke_handler t sess slot srv req_type =
             Obs.Trace.instant t.trace ~ts:(Sim.Engine.now t.engine) ~cat:"rpc"
               ~name:"worker_dispatch" ~pid:t.pid ~tid:t.tid
               [ ("type", Obs.Trace.I req_type) ];
-          Nexus.submit_worker t.nexus_ (fun wcpu ->
-              ignore
-                (Sim.Cpu.charge wcpu (Cost_model.scaled t.cost (t.cost.worker_handoff / 2)));
-              handle.Req_handle.charge_fn <-
-                (fun ns -> ignore (Sim.Cpu.charge wcpu (Cost_model.scaled t.cost ns)));
-              handle.Req_handle.codec_charge_fn <-
-                (fun ~deser ~backend ~leaves ~bytes ->
-                  charge_codec_cpu t wcpu ~traced:false ~deser ~backend ~leaves ~bytes);
-              handle.Req_handle.enqueue_fn <-
-                (fun _h resp ->
-                  let at = Sim.Cpu.next_free wcpu in
-                  Sim.Engine.schedule t.engine at (fun () ->
-                      if Obs.Trace.enabled t.trace then
-                        Obs.Trace.instant t.trace ~ts:(Sim.Engine.now t.engine)
-                          ~cat:"rpc" ~name:"worker_done" ~pid:t.pid ~tid:t.tid
-                          [ ("type", Obs.Trace.I req_type) ];
-                      Queue.add
-                        (fun () ->
-                          ch t (t.cost.worker_handoff / 2);
-                          Proto.enqueue_response t.proto sess slot srv resp)
-                        t.bgq;
-                      wake t));
-              handler_fn handle))
+          Nexus.submit_worker t.nexus_ h.Req_handle.run_on_worker)
+
+(* The slot's request handle, built with its closures on the slot's first
+   request. The closures read the handle's mutable fields (the request,
+   the CPU running the handler, a worker's response), so every later
+   request on the slot reuses them and allocates nothing. *)
+and slot_handle t sess slot srv =
+  match srv.handle with
+  | Some h -> h
+  | None ->
+      let h = Req_handle.create ~cpu:t.cpu_ ~codec_mode:(codec_mode t) in
+      (* A worker handler's response reaches the dispatch thread in two
+         steps: an event when the worker's charged work ends, then the
+         background queue. *)
+      let bg_resp () =
+        ch t (t.cost.worker_handoff / 2);
+        let resp = h.Req_handle.resp in
+        h.Req_handle.resp <- Msgbuf.nil;
+        Proto.enqueue_response t.proto sess slot srv resp
+      in
+      let worker_done () =
+        if Obs.Trace.enabled t.trace then
+          Obs.Trace.instant t.trace ~ts:(Sim.Engine.now t.engine) ~cat:"rpc"
+            ~name:"worker_done" ~pid:t.pid ~tid:t.tid
+            [ ("type", Obs.Trace.I h.Req_handle.req_type) ];
+        Sim.Ring.push t.bgq bg_resp;
+        wake t
+      in
+      h.Req_handle.slot_req_num <- (fun () -> slot.req_num);
+      h.Req_handle.charge_fn <- handle_charge t;
+      h.Req_handle.init_resp_fn <- handle_init_response t;
+      h.Req_handle.codec_charge_fn <- handle_charge_codec t;
+      h.Req_handle.enqueue_fn <-
+        (fun h resp ->
+          if h.Req_handle.cpu == t.cpu_ then Proto.enqueue_response t.proto sess slot srv resp
+          else begin
+            h.Req_handle.resp <- resp;
+            Sim.Engine.schedule t.engine (Sim.Cpu.next_free h.Req_handle.cpu) worker_done
+          end);
+      h.Req_handle.run_on_worker <-
+        (fun wcpu ->
+          ignore (Sim.Cpu.charge wcpu (Cost_model.scaled t.cost (t.cost.worker_handoff / 2)));
+          h.Req_handle.cpu <- wcpu;
+          match Nexus.handler t.nexus_ h.Req_handle.req_type with
+          | Some (_, handler_fn) -> handler_fn h
+          | None -> ());
+      srv.handle <- Some h;
+      h
 
 (* {2 Client API} *)
 
@@ -503,7 +533,7 @@ let handle_local_crash t =
           Proto.fail_pending_requests sess (Err.Session_error "local host crashed")
       end);
   Proto.clear_on_crash t.proto;
-  Queue.clear t.bgq;
+  Sim.Ring.clear t.bgq;
   t.wheel <- None;
   Transport.Iface.reset_rx t.transport_
 
@@ -597,7 +627,7 @@ let create nexus_ ~rpc_id =
   let t =
     {
       nexus_; rpc_id; host_; engine; cfg; cost; cpu_; transport_; shm_; proto; stats_;
-      bgq = Queue.create ();
+      bgq = Sim.Ring.create ~dummy:ignore ();
       wheel = None;
       we_free = [||];
       we_nfree = 0;

@@ -20,6 +20,11 @@ type client_info = {
   mutable retx_in_wheel : bool;
   mutable retransmits : int;
   mutable consec_retx : int;
+  mutable req_type : int;
+  mutable req : Msgbuf.t;
+  mutable resp : Msgbuf.t;
+  mutable on_complete : Msgbuf.t -> unit;
+  mutable cont : (unit, Err.t) result -> unit;
 }
 
 type server_info = {
@@ -27,10 +32,12 @@ type server_info = {
   mutable n_req_pkts : int;
   mutable handler_done : bool;
   mutable handler_running : bool;
-  mutable req_buf : Msgbuf.t option;
-  mutable spare_req_buf : Msgbuf.t option;
-  mutable resp_buf : Msgbuf.t option;
+  mutable req_buf : Msgbuf.t;
+  mutable spare_req_buf : Msgbuf.t;
+  req_view : Msgbuf.t;
+  mutable resp_buf : Msgbuf.t;
   mutable ecn_pending : bool;
+  mutable handle : Req_handle.t option;
 }
 
 type sslot = {
@@ -38,7 +45,6 @@ type sslot = {
   session : session;
   mutable req_num : int;
   mutable busy : bool;
-  mutable args : req_args option;
   mutable cli : client_info option;
   mutable srv : server_info option;
   mutable in_txq : bool;
@@ -46,7 +52,6 @@ type sslot = {
   mutable needs_retx : bool;
   mutable rto : Sim.Timer.t option;
   mutable issue_time : Sim.Time.t;
-  mutable prealloc_resp : Msgbuf.t option;
 }
 
 and session = {
@@ -101,7 +106,6 @@ let slot session i =
              slot at the receiver. *)
           req_num = i - Array.length session.slots;
           busy = false;
-          args = None;
           cli = None;
           srv = None;
           in_txq = false;
@@ -109,7 +113,6 @@ let slot session i =
           needs_retx = false;
           rto = None;
           issue_time = Sim.Time.zero;
-          prealloc_resp = None;
         }
       in
       session.slots.(i) <- Some s;
@@ -137,6 +140,11 @@ let client_info sslot ~credits =
           retx_in_wheel = false;
           retransmits = 0;
           consec_retx = 0;
+          req_type = 0;
+          req = Msgbuf.nil;
+          resp = Msgbuf.nil;
+          on_complete = ignore;
+          cont = ignore;
         }
       in
       sslot.cli <- Some c;
@@ -152,25 +160,26 @@ let server_info sslot =
           n_req_pkts = 0;
           handler_done = false;
           handler_running = false;
-          req_buf = None;
-          spare_req_buf = None;
-          resp_buf = None;
+          req_buf = Msgbuf.nil;
+          spare_req_buf = Msgbuf.nil;
+          req_view = Msgbuf.view Bytes.empty ~off:0 ~len:0;
+          resp_buf = Msgbuf.nil;
           ecn_pending = false;
+          handle = None;
         }
       in
       sslot.srv <- Some s;
       s
 
 let free_slot session ~req_window =
-  let rec go i =
-    if i >= req_window then None
-    else
-      match session.slots.(i) with
-      | None -> Some (slot session i)
-      | Some s when not s.busy -> Some s
-      | Some _ -> go (i + 1)
-  in
-  go 0
+  let found = ref nil_slot and i = ref 0 in
+  while !found == nil_slot && !i < req_window do
+    (match session.slots.(!i) with
+    | None -> found := slot session !i
+    | Some s -> if not s.busy then found := s);
+    incr i
+  done;
+  !found
 
 let outstanding_packets session =
   Array.fold_left

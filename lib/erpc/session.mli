@@ -25,10 +25,10 @@ type conn_state =
 
 type role = Client | Server
 
-(** A queued request: what the application hands to [enqueue_request].
-    [on_complete] runs on the dispatch thread just before [cont] on
-    success only, with the filled response — the seam typed RPC uses to
-    charge response deserialization inside the request's own lifetime. *)
+(** A request waiting in the session backlog for a free slot: what the
+    application handed to [enqueue_request]. An admitted request's
+    arguments live in its slot's {!client_info} instead, so only a
+    backlogged request allocates this record. *)
 type req_args = {
   req_type : int;
   req : Msgbuf.t;
@@ -52,6 +52,14 @@ type client_info = {
   mutable consec_retx : int;
       (** consecutive RTOs since the last accepted RX item; reaching
           [Config.max_retransmits] resets the session (§4.3) *)
+  mutable req_type : int;  (** the in-flight request's arguments, as in {!req_args} *)
+  mutable req : Msgbuf.t;
+  mutable resp : Msgbuf.t;
+  mutable on_complete : Msgbuf.t -> unit;
+      (** runs on the dispatch thread just before [cont] on success only,
+          with the filled response — the seam typed RPC uses to charge
+          response deserialization inside the request's own lifetime *)
+  mutable cont : (unit, Err.t) result -> unit;
 }
 
 type server_info = {
@@ -59,15 +67,22 @@ type server_info = {
   mutable n_req_pkts : int;
   mutable handler_done : bool;  (** response enqueued *)
   mutable handler_running : bool;
-  mutable req_buf : Msgbuf.t option;
-  mutable spare_req_buf : Msgbuf.t option;
+  mutable req_buf : Msgbuf.t;  (** the request; {!Msgbuf.nil} when none *)
+  mutable spare_req_buf : Msgbuf.t;
       (** the previous request's assembly buffer, recycled for the next
           request on this slot when large enough (eRPC pre-allocates
-          per-sslot msgbufs rather than allocating per request) *)
-  mutable resp_buf : Msgbuf.t option;
+          per-sslot msgbufs rather than allocating per request);
+          {!Msgbuf.nil} when none *)
+  req_view : Msgbuf.t;
+      (** the slot's zero-copy view, rebound to each single-packet request
+          a Dispatch handler reads straight off the RX ring *)
+  mutable resp_buf : Msgbuf.t;  (** the response; {!Msgbuf.nil} until enqueued *)
   mutable ecn_pending : bool;
       (** the request packet that triggered the handler carried an ECN
           mark; echoed on response packet 0 *)
+  mutable handle : Req_handle.t option;
+      (** the slot's request handle, built by {!Rpc} on the first request
+          and rebound to every later one *)
 }
 
 type sslot = {
@@ -75,7 +90,6 @@ type sslot = {
   session : session;
   mutable req_num : int;  (** current request number; [req_num mod req_window = index] *)
   mutable busy : bool;
-  mutable args : req_args option;  (** client side: the in-flight request *)
   mutable cli : client_info option;
   mutable srv : server_info option;
   mutable in_txq : bool;
@@ -83,7 +97,6 @@ type sslot = {
   mutable needs_retx : bool;
   mutable rto : Sim.Timer.t option;
   mutable issue_time : Sim.Time.t;
-  mutable prealloc_resp : Msgbuf.t option;  (** server side, MTU-sized *)
 }
 
 and session = {
@@ -132,8 +145,8 @@ val client_info : sslot -> credits:int -> client_info
 
 val server_info : sslot -> server_info
 
-(** First idle slot, if any. *)
-val free_slot : session -> req_window:int -> sslot option
+(** First idle slot, or {!nil_slot} if every slot is busy. *)
+val free_slot : session -> req_window:int -> sslot
 
 (** Sum of (num_tx - num_rx) over busy client slots — must equal
     [credit_limit - credits]; checked by tests. *)

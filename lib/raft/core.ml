@@ -67,6 +67,7 @@ type 'cmd t = {
   (* Leader replication state, indexed like [peers]. *)
   mutable next_index : int array;
   mutable match_index : int array;
+  commit_scratch : int array;  (* [majority_match]'s sort space, one cell per node *)
 }
 
 let fresh_election_deadline t =
@@ -95,6 +96,7 @@ let create ~id ~peers ?stable:st ?(notify = fun () -> ()) cfg ~send ~apply ~rand
       votes = 0;
       next_index = Array.make (Array.length peers) 1;
       match_index = Array.make (Array.length peers) 0;
+      commit_scratch = Array.make (Array.length peers + 1) 0;
     }
   in
   t.election_deadline <- fresh_election_deadline t;
@@ -139,8 +141,11 @@ let become_follower t term =
   t.election_deadline <- fresh_election_deadline t
 
 let peer_slot t peer =
-  let rec go i = if t.peers.(i) = peer then i else go (i + 1) in
-  go 0
+  let i = ref 0 in
+  while t.peers.(!i) <> peer do
+    incr i
+  done;
+  !i
 
 let send_append_entries t ~peer =
   let slot = peer_slot t peer in
@@ -191,14 +196,29 @@ let start_election t =
   (* Single-node group: immediately a leader. *)
   if Array.length t.peers = 0 then become_leader t
 
+(* Insertion sort into [scratch] with integer comparisons only: groups are
+   a handful of nodes, and a call allocates nothing. *)
+let majority_match ~(scratch : int array) ~last (match_index : int array) =
+  let n = Array.length match_index + 1 in
+  if Array.length scratch < n then invalid_arg "Raft.Core.majority_match: scratch too short";
+  scratch.(0) <- last;
+  for i = 1 to n - 1 do
+    let v = match_index.(i - 1) in
+    let j = ref (i - 1) in
+    while !j >= 0 && scratch.(!j) > v do
+      scratch.(!j + 1) <- scratch.(!j);
+      decr j
+    done;
+    scratch.(!j + 1) <- v
+  done;
+  scratch.(n - ((n / 2) + 1))
+
 (* Median match index across the cluster = highest index replicated on a
    majority. Only entries of the current term commit directly (§5.4.2). *)
 let try_advance_commit t =
-  let n = Array.length t.peers + 1 in
-  let matches = Array.make n (Log.last_index t.stable.s_log) in
-  Array.blit t.match_index 0 matches 1 (Array.length t.peers);
-  Array.sort compare matches;
-  let majority_match = matches.(n - ((n / 2) + 1)) in
+  let majority_match =
+    majority_match ~scratch:t.commit_scratch ~last:(Log.last_index t.stable.s_log) t.match_index
+  in
   if
     majority_match > t.commit_index
     && Log.term_at t.stable.s_log majority_match = t.stable.s_term

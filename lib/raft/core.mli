@@ -81,6 +81,14 @@ val create :
   random:(int -> int) ->
   'cmd t
 
+(** [majority_match ~scratch ~last match_index] is the highest log index
+    stored on a majority of a group whose leader's log ends at [last] and
+    whose followers have replicated up to [match_index]: the
+    [(n/2 + 1)]-th largest of the [n = Array.length match_index + 1]
+    values. [scratch] (at least [n] cells) is overwritten; the call
+    allocates nothing. The leader advances its commit index to it. *)
+val majority_match : scratch:int array -> last:int -> int array -> int
+
 val id : 'cmd t -> int
 val role : 'cmd t -> role
 val term : 'cmd t -> int

@@ -185,12 +185,14 @@ let test_equivalence_qcheck =
          in
          run (Q.create ()) Q.push Q.pop = run (Model.create ()) Model.push Model.pop))
 
-(* Allocation budget: the pooled datapath plus the wheel's cell free-list
-   keep the cost of a whole short run, set-up included, near 3.4
-   minor-heap words per event (RPC continuations, request handles and
-   handler closures; the per-packet path allocates nothing). A regression
-   that reintroduces per-packet or per-event boxing blows well past the
-   budget of 5. *)
+(* Allocation budget: the pooled datapath, the wheel's cell free-list and
+   the per-slot request state keep the cost of a whole short run, set-up
+   included, near 1.3 minor-heap words per event (the driver's issue
+   closures and one-time session set-up; neither the per-packet path nor
+   the request lifecycle allocates). It measured 3.4 while every request
+   built a fresh handle, handler closures and argument record. A
+   regression that reintroduces per-request or per-event boxing blows
+   past the budget of 2.5. *)
 let test_allocation_budget () =
   let run () =
     let cluster = Transport.Cluster.cx4 ~nodes:4 () in
@@ -219,8 +221,8 @@ let test_allocation_budget () =
   let events = run () in
   let words = Gc.minor_words () -. w0 in
   let per_event = words /. float_of_int events in
-  if per_event > 5. then
-    Alcotest.failf "allocation budget blown: %.1f minor words/event (budget 5)" per_event
+  if per_event > 2.5 then
+    Alcotest.failf "allocation budget blown: %.2f minor words/event (budget 2.5)" per_event
 
 (* {2 Per-packet datapath budgets}
 
@@ -290,10 +292,11 @@ let test_datapath_budgets () =
    the Carousel wheel. Words per event are measured inside one deployment
    after a warm-up longer than the 5 ms RTO, so the stale timer events
    every re-arm leaves behind have reached their steady count and pools
-   and free-lists their steady size. The run measures 0.035 words/event
-   (about 140 words per RPC: continuations, request handles, handler
-   closures and msgbuf records; nothing per packet). Before the per-packet
-   path was made allocation-free it measured about 3.2. *)
+   and free-lists their steady size. The run measures 0.021 words/event:
+   the driver's continuations and batch lists, and each 64 KB response's
+   msgbuf record; nothing per packet. It measured 0.035 while every
+   request built a fresh handle and argument record, and about 3.2 before
+   the per-packet path was made allocation-free. *)
 let test_paced_run_budget () =
   let senders = 8 in
   let cluster = Transport.Cluster.cx4 ~nodes:(senders + 1) () in
@@ -329,6 +332,60 @@ let test_paced_run_budget () =
   if per_event > 0.05 then
     Alcotest.failf "paced run: %.3f minor words/event (budget 0.05)" per_event
 
+(* {2 Per-RPC budgets}
+
+   The request lifecycle allocates nothing in steady state: the server
+   slot's request handle, its zero-copy view and the client slot's
+   request arguments are all reused. A closed echo loop on one session,
+   driven by one preallocated continuation, is warmed up past the 5 ms
+   RTO so the wheel cells of superseded RTO events are recycled; then
+   every word it allocates is a regression. The loop runs once with a
+   Dispatch handler and once with a Worker handler, whose job and
+   response hand-off reuse per-slot and per-worker closures. *)
+
+let per_rpc_budget mode () =
+  let cluster = Transport.Cluster.cx4 ~nodes:2 () in
+  let register nx =
+    Erpc.Nexus.register_handler nx ~req_type:Experiments.Harness.echo_req_type ~mode (fun h ->
+        Erpc.Req_handle.enqueue_response h (Erpc.Req_handle.init_response h ~size:32))
+  in
+  let d = Experiments.Harness.deploy ~seed:11L cluster ~threads_per_host:1 ~register in
+  let rpc = d.rpcs.(0).(0) in
+  let sess = Experiments.Harness.connect d rpc ~remote_host:1 ~remote_rpc_id:0 in
+  let req = Erpc.Msgbuf.alloc ~max_size:32 and resp = Erpc.Msgbuf.alloc ~max_size:32 in
+  let completed = ref 0 in
+  let rec cont r =
+    if r = Ok () then incr completed;
+    issue ()
+  and issue () =
+    Erpc.Rpc.enqueue_request rpc sess ~req_type:Experiments.Harness.echo_req_type ~req ~resp
+      ~cont
+  in
+  issue ();
+  Experiments.Harness.run_ms d 6.0;
+  let c0 = !completed in
+  let w0 = Gc.minor_words () in
+  Experiments.Harness.run_ms d 4.0;
+  let words = Gc.minor_words () -. w0 in
+  let rpcs = !completed - c0 in
+  Alcotest.(check bool) "the loop ran" true (rpcs > 500);
+  let per_rpc = words /. float_of_int rpcs in
+  if per_rpc > 1. then Alcotest.failf "closed echo loop: %.2f minor words/RPC (budget 1)" per_rpc
+
+let test_free_slot_budget () =
+  let sess =
+    Erpc.Session.create ~sn:0 ~role:Erpc.Session.Client ~token:1 ~remote_host:1
+      ~remote_rpc_id:0 ~credits:8 ~req_window:8
+  in
+  (* The scan passes seven busy slots before it finds the idle one. *)
+  for i = 0 to 6 do
+    (Erpc.Session.slot sess i).Erpc.Session.busy <- true
+  done;
+  check_zero "Session.free_slot" (fun () ->
+      ignore (Sys.opaque_identity (Erpc.Session.free_slot sess ~req_window:8)));
+  Alcotest.(check int) "finds the idle slot" 7
+    (Erpc.Session.free_slot sess ~req_window:8).Erpc.Session.index
+
 (* The wheel-occupancy gauge (the calendar queue's load factor):
    it must track how many wheel slots hold pending events and drain back
    to zero with the queue. *)
@@ -353,4 +410,8 @@ let suite =
     Alcotest.test_case "allocation budget" `Quick test_allocation_budget;
     Alcotest.test_case "datapath allocation budgets" `Quick test_datapath_budgets;
     Alcotest.test_case "paced run allocation budget" `Quick test_paced_run_budget;
+    Alcotest.test_case "per-RPC allocation budget" `Quick (per_rpc_budget Erpc.Nexus.Dispatch);
+    Alcotest.test_case "per-RPC allocation budget, worker" `Quick
+      (per_rpc_budget Erpc.Nexus.Worker);
+    Alcotest.test_case "free_slot allocation budget" `Quick test_free_slot_budget;
   ]

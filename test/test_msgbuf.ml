@@ -86,6 +86,23 @@ let test_view_semantics () =
   Bytes.set backing 2 'X';
   check_str "aliased" "X3456" (Erpc.Msgbuf.read_string v ~off:0 ~len:5)
 
+(* The zero-copy RX path rebinds one view per server slot in place; only
+   views accept it, and the shared [nil] placeholder never does. *)
+let test_rebind_view () =
+  let v = Erpc.Msgbuf.view (Bytes.of_string "abc") ~off:0 ~len:3 in
+  Erpc.Msgbuf.rebind_view v (Bytes.of_string "0123456789") ~off:4 ~len:3;
+  check_int "rebound size" 3 (Erpc.Msgbuf.size v);
+  check_int "rebound max size" 3 (Erpc.Msgbuf.max_size v);
+  check_str "rebound bytes" "456" (Erpc.Msgbuf.read_string v ~off:0 ~len:3);
+  let rejects name m =
+    match Erpc.Msgbuf.rebind_view m (Bytes.create 4) ~off:0 ~len:4 with
+    | () -> Alcotest.failf "rebind_view accepted %s" name
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "an owned buffer" (Erpc.Msgbuf.alloc ~max_size:4);
+  rejects "nil" Erpc.Msgbuf.nil;
+  check_int "nil stays empty" 0 (Erpc.Msgbuf.max_size Erpc.Msgbuf.nil)
+
 let test_blit () =
   let a = Erpc.Msgbuf.alloc ~max_size:16 in
   let b = Erpc.Msgbuf.alloc ~max_size:16 in
@@ -113,4 +130,5 @@ let suite =
     Alcotest.test_case "view semantics" `Quick test_view_semantics;
     Alcotest.test_case "blit" `Quick test_blit;
     Alcotest.test_case "unsafe_set_size" `Quick test_unsafe_set_size;
+    Alcotest.test_case "rebind_view" `Quick test_rebind_view;
   ]

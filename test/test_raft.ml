@@ -283,6 +283,24 @@ let test_codec_rejects_garbage () =
   decodes_to_error "unknown tag" (Bytes.make 8 '\255');
   decodes_to_error "truncated" (Bytes.make 3 '\000')
 
+(* The leader's commit point: the allocation-free insertion sort into
+   the core's scratch array must agree with the sort-based definition
+   (the [(n/2 + 1)]-th largest of the leader's last index and the peers'
+   match indexes) for every group size from 1 to 7. Draws include
+   duplicates and a scratch array longer than needed, reused across
+   calls as the core does. *)
+let majority_match_qcheck =
+  let scratch = Array.make 8 0 in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"majority_match = sort-based reference" ~count:1_000
+       QCheck2.Gen.(pair (int_range 0 50) (list_size (int_range 0 6) (int_range 0 50)))
+       (fun (last, peers) ->
+         let match_index = Array.of_list peers in
+         let n = Array.length match_index + 1 in
+         let sorted = Array.append [| last |] match_index in
+         Array.sort compare sorted;
+         Raft.Core.majority_match ~scratch ~last match_index = sorted.(n - ((n / 2) + 1))))
+
 let suite =
   [
     Alcotest.test_case "single node self-elects" `Quick test_single_node_self_elects;
@@ -301,4 +319,5 @@ let suite =
     Alcotest.test_case "log entries_from" `Quick test_log_entries_from;
     codec_roundtrip;
     Alcotest.test_case "codec rejects garbage" `Quick test_codec_rejects_garbage;
+    majority_match_qcheck;
   ]
