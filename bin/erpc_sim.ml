@@ -379,15 +379,10 @@ let anatomy =
   let transports = [ ("raw_eth", `Raw_eth); ("rdma_rc", `Rdma_rc); ("shm", `Shm) ] in
   exp "anatomy" "Latency anatomy: decompose quiet-network RPC latency into components"
     Term.(
-      const (fun n s t b o tp seed -> (n, s, t, b, o, tp, seed))
+      const (fun n s t tp seed -> (n, s, t, tp, seed))
       $ int_arg "samples" 32 "N" "Sequential RPCs to sample."
       $ int_arg "size" 32 "BYTES" "Request size."
       $ flag_arg "typed" "Issue typed (schema-carrying) echoes so ser/deser appear."
-      $ Arg.(
-          value
-          & opt (enum [ ("compact", Codec.Compact); ("flat", Codec.Flat) ]) Codec.Compact
-          & info [ "backend" ] ~docv:"B" ~doc:"Codec backend for --typed (compact|flat).")
-      $ flag_arg "offload" "Model NIC-offloaded codec for --typed."
       $ Arg.(
           value
           & opt (enum (("all", transports) :: List.map (fun (n, t) -> (n, [ (n, t) ])) transports))
@@ -397,12 +392,11 @@ let anatomy =
                 "Datapath: raw_eth|rdma_rc|shm, or all to run the three-transport anatomy in one \
                  command.")
       $ seed_arg)
-    (fun (samples, req_size, typed, backend, offload, transports, seed) ->
+    (fun (samples, req_size, typed, transports, seed) ->
       List.map
         (fun (name, transport) ->
           ( name,
-            Experiments.Exp_anatomy.run ~seed ~samples ~req_size ~typed ~backend ~offload
-              ~transport () ))
+            Experiments.Exp_anatomy.run ~seed ~samples ~req_size ~typed ~transport () ))
         transports)
     (fun _ ->
       List.iter (fun (name, (r : Experiments.Exp_anatomy.result)) ->
@@ -507,22 +501,6 @@ let bench_sim =
     ~to_json:B.to_json
     ~digest:(fun rows -> digest_all (List.map (fun (r : B.row) -> r.digest) rows))
 
-let codec_bench =
-  let module C = Experiments.Exp_codec_bench in
-  exp "codec-bench"
-    "Typed-codec cost: encode/decode ns/op, modeled charge, and simulated Mrps per backend x \
-     schema x offload"
-    Term.(
-      const (fun i m s -> (i, m, s))
-      $ int_arg "iters" 100_000 "N" "Wall-clock encode/decode iterations per row."
-      $ Arg.(
-          value & opt float 2.0
-          & info [ "measure-ms" ] ~docv:"MS" ~doc:"Simulated measurement window per row.")
-      $ seed_arg)
-    (fun (iters, measure_ms, seed) -> C.run ~seed ~iters ~measure_ms ())
-    (fun _ rows -> C.pp_table Format.std_formatter rows)
-    ~to_json:C.to_json
-
 let session_scale =
   let module S = Experiments.Exp_session_scale in
   exp "session-scale" "Fig. 7: one Rpc serving up to 20,000 sessions at constant per-session state"
@@ -569,7 +547,6 @@ let () =
             cmd chaos;
             cmd kv_chaos;
             cmd bench_sim;
-            cmd codec_bench;
             cmd session_scale;
             cmd rdma_scalability;
             cmd cluster_load;

@@ -1,9 +1,5 @@
 exception Decode_error of string
 
-type backend = Compact | Flat
-
-let backend_name = function Compact -> "compact" | Flat -> "flat"
-
 let fail msg = raise (Decode_error msg)
 
 (* FNV-1a over bytes; constants match [Erpc.Pkthdr.bytes_checksum] exactly so
@@ -20,32 +16,6 @@ let bytes_checksum b ~off ~len =
   done;
   !h
 
-(* {2 Leaf metadata}
-
-   A "leaf" is one primitive field as seen by the cost model: encoding or
-   decoding a message costs per-leaf work plus bulk byte movement. Flat
-   layouts additionally record each leaf's fixed offset, which is what makes
-   lazy positional access possible. *)
-
-type leaf_kind =
-  | L_u8
-  | L_u16
-  | L_u32
-  | L_u64
-  | L_bool
-  | L_fixed of int
-  | L_bounded of int  (* u32 length + [cap] bytes of storage *)
-
-type leaf = { l_off : int; l_kind : leaf_kind }
-
-let leaf_width = function
-  | L_u8 | L_bool -> 1
-  | L_u16 -> 2
-  | L_u32 -> 4
-  | L_u64 -> 8
-  | L_fixed n -> n
-  | L_bounded cap -> 4 + cap
-
 (* Readers decode at a cursor and advance it in place, so reading a field
    allocates nothing but the field's own value. A reader never reads at or
    past [limit]. *)
@@ -53,22 +23,15 @@ type cur = { mutable pos : int }
 
 type 'a reader = bytes -> limit:int -> cur -> 'a
 
-type 'a flat = {
-  f_size : int;  (* fixed wire footprint *)
-  f_write : bytes -> int -> 'a -> unit;  (* bounds pre-checked by caller *)
-  f_read : 'a reader;  (* bounds pre-checked; content may still fail *)
-  f_leaves : leaf array;  (* declaration order, offsets relative to base *)
-}
-
-(* The compact size and leaf count of a codec whose every value encodes to
+(* The size and leaf count of a codec whose every value encodes to
    the same number of bytes. *)
 type exact = { e_size : int; e_leaves : int }
 
 (* A codec is an exact-size function, limit-aware writers/readers over a
-   bytes buffer (compact backend), a per-value leaf count for the cost
-   model, a static compact-size bound when one exists, the exact size of
-   constant-size codecs, and optionally a fixed-offset flat layout. Writers
-   return the next offset. *)
+   bytes buffer, a per-value leaf count for the cost model (a "leaf" is one
+   primitive field: encoding or decoding costs per-leaf work plus bulk byte
+   movement), a static size bound when one exists, and the exact size of
+   constant-size codecs. Writers return the next offset. *)
 type 'a t = {
   size : 'a -> int;
   write : bytes -> int -> 'a -> int;
@@ -76,7 +39,6 @@ type 'a t = {
   leaves : 'a -> int;
   bound : int option;
   exact : exact option;
-  flat : 'a flat option;
 }
 
 (* Constant-size codecs answer [size] and [leaves] without looking at the
@@ -86,11 +48,6 @@ let with_exact c =
   | Some e -> { c with size = (fun _ -> e.e_size); leaves = (fun _ -> e.e_leaves) }
   | None -> c
 
-let flat_exn c what =
-  match c.flat with
-  | Some f -> f
-  | None -> invalid_arg (what ^ ": codec has no flat layout (unbounded field?)")
-
 let need b ~limit off n what =
   if off < 0 || off + n > limit || off + n > Bytes.length b then
     fail
@@ -99,8 +56,7 @@ let need b ~limit off n what =
 
 (* {2 Primitives} *)
 
-(* A fixed-width field: the compact and flat layouts coincide. *)
-let fixed ~kind ~n ~what ~wr ~rd =
+let fixed ~n ~what ~wr ~rd =
   let read b ~limit cur =
     let off = cur.pos in
     need b ~limit off n what;
@@ -117,41 +73,38 @@ let fixed ~kind ~n ~what ~wr ~rd =
     leaves = (fun _ -> 1);
     bound = Some n;
     exact = Some { e_size = n; e_leaves = 1 };
-    flat =
-      Some
-        { f_size = n; f_write = wr; f_read = read; f_leaves = [| { l_off = 0; l_kind = kind } |] };
   }
 
 let get_u32 b off = Int32.to_int (Bytes.get_int32_le b off) land 0xFFFFFFFF
 
 let u8 =
-  fixed ~kind:L_u8 ~n:1 ~what:"u8"
+  fixed ~n:1 ~what:"u8"
     ~wr:(fun b off v ->
       if v < 0 || v > 0xFF then invalid_arg "Codec.u8: out of range";
       Bytes.set_uint8 b off v)
     ~rd:Bytes.get_uint8
 
 let u16 =
-  fixed ~kind:L_u16 ~n:2 ~what:"u16"
+  fixed ~n:2 ~what:"u16"
     ~wr:(fun b off v ->
       if v < 0 || v > 0xFFFF then invalid_arg "Codec.u16: out of range";
       Bytes.set_uint16_le b off v)
     ~rd:Bytes.get_uint16_le
 
 let u32 =
-  fixed ~kind:L_u32 ~n:4 ~what:"u32"
+  fixed ~n:4 ~what:"u32"
     ~wr:(fun b off v ->
       if v < 0 || v > 0xFFFFFFFF then invalid_arg "Codec.u32: out of range";
       Bytes.set_int32_le b off (Int32.of_int v))
     ~rd:get_u32
 
 let u64 =
-  fixed ~kind:L_u64 ~n:8 ~what:"u64"
+  fixed ~n:8 ~what:"u64"
     ~wr:(fun b off v -> Bytes.set_int64_le b off (Int64.of_int v))
     ~rd:(fun b off -> Int64.to_int (Bytes.get_int64_le b off))
 
 let bool =
-  fixed ~kind:L_bool ~n:1 ~what:"bool"
+  fixed ~n:1 ~what:"bool"
     ~wr:(fun b off v -> Bytes.set_uint8 b off (if v then 1 else 0))
     ~rd:(fun b off ->
       match Bytes.get_uint8 b off with
@@ -160,7 +113,7 @@ let bool =
       | n -> fail (Printf.sprintf "invalid bool byte %d" n))
 
 let fixed_string n =
-  fixed ~kind:(L_fixed n) ~n ~what:"fixed_string"
+  fixed ~n ~what:"fixed_string"
     ~wr:(fun b off s ->
       if String.length s <> n then
         invalid_arg
@@ -193,12 +146,10 @@ let string =
     leaves = (fun _ -> 1);
     bound = None;
     exact = None;
-    flat = None;
   }
 
-(* Same compact wire format as [string], but with a declared capacity, which
-   gives it a flat layout: u32 length at a fixed offset followed by [cap]
-   reserved bytes (slack zero-filled so encodes stay deterministic). *)
+(* Same wire format as [string], but with a declared capacity, which gives
+   it a static size bound. *)
 let bounded_string cap =
   let check s =
     if String.length s > cap then
@@ -219,31 +170,9 @@ let bounded_string cap =
     leaves = (fun _ -> 1);
     bound = Some (4 + cap);
     exact = None;
-    flat =
-      Some
-        {
-          f_size = 4 + cap;
-          f_write =
-            (fun b off s ->
-              check s;
-              let n = String.length s in
-              ignore (write_prefixed b off s);
-              Bytes.fill b (off + 4 + n) (cap - n) '\000');
-          f_read =
-            (fun b ~limit:_ cur ->
-              let off = cur.pos in
-              let n = get_u32 b off in
-              if n > cap then
-                fail (Printf.sprintf "bounded_string length %d exceeds capacity %d" n cap);
-              cur.pos <- off + 4 + cap;
-              Bytes.sub_string b (off + 4) n);
-          f_leaves = [| { l_off = 0; l_kind = L_bounded cap } |];
-        };
   }
 
 (* {2 Combinators} *)
-
-let shift_leaves d ls = Array.map (fun l -> { l with l_off = l.l_off + d }) ls
 
 let map ~into ~from c =
   with_exact
@@ -254,17 +183,6 @@ let map ~into ~from c =
       leaves = (fun v -> c.leaves (from v));
       bound = c.bound;
       exact = c.exact;
-      flat =
-        (match c.flat with
-        | Some f ->
-            Some
-              {
-                f_size = f.f_size;
-                f_write = (fun buf off v -> f.f_write buf off (from v));
-                f_read = (fun buf ~limit cur -> into (f.f_read buf ~limit cur));
-                f_leaves = f.f_leaves;
-              }
-        | None -> None);
     }
 
 (* List walks are top-level functions rather than closures over [elt], so
@@ -298,7 +216,6 @@ let list elt =
     leaves = (fun xs -> sum_leaves elt 1 xs);
     bound = None;
     exact = None;
-    flat = None;
   }
 
 (* No count prefix: elements are read until the message limit. Only valid as
@@ -311,7 +228,6 @@ let tail_list elt =
     leaves = (fun xs -> sum_leaves elt 0 xs);
     bound = None;
     exact = None;
-    flat = None;
   }
 
 let option elt =
@@ -328,36 +244,6 @@ let option elt =
     leaves = (fun v -> match v with None -> 1 | Some x -> 1 + elt.leaves x);
     bound = (match elt.bound with Some n -> Some (1 + n) | None -> None);
     exact = None;
-    flat =
-      (match elt.flat with
-      | Some f ->
-          Some
-            {
-              f_size = 1 + f.f_size;
-              f_write =
-                (fun buf off v ->
-                  match v with
-                  | None ->
-                      Bytes.set_uint8 buf off 0;
-                      Bytes.fill buf (off + 1) f.f_size '\000'
-                  | Some x ->
-                      Bytes.set_uint8 buf off 1;
-                      f.f_write buf (off + 1) x);
-              f_read =
-                (fun buf ~limit cur ->
-                  let off = cur.pos in
-                  match Bytes.get_uint8 buf off with
-                  | 0 ->
-                      cur.pos <- off + 1 + f.f_size;
-                      None
-                  | 1 ->
-                      cur.pos <- off + 1;
-                      Some (f.f_read buf ~limit cur)
-                  | n -> fail (Printf.sprintf "invalid option byte %d" n));
-              f_leaves =
-                Array.append [| { l_off = 0; l_kind = L_bool } |] (shift_leaves 1 f.f_leaves);
-            }
-      | None -> None);
   }
 
 (* Presence encoded by message length: the value is present iff any bytes
@@ -373,7 +259,6 @@ let tail_option elt =
     leaves = (fun v -> match v with None -> 0 | Some x -> elt.leaves x);
     bound = elt.bound;
     exact = None;
-    flat = None;
   }
 
 let array elt = map ~into:Array.of_list ~from:Array.to_list (list elt)
@@ -439,7 +324,6 @@ let variant ~name cases =
           | _ -> None)
         (Some 0) cases;
     exact = None;
-    flat = None;
   }
 
 (* {2 Integrity} *)
@@ -472,29 +356,6 @@ let with_checksum c =
         (match c.exact with
         | Some e -> Some { e_size = e.e_size + 4; e_leaves = e.e_leaves + 1 }
         | None -> None);
-      flat =
-        (match c.flat with
-        | Some f ->
-            Some
-              {
-                f_size = f.f_size + 4;
-                f_write =
-                  (fun b off v ->
-                    f.f_write b off v;
-                    ignore (u32.write b (off + f.f_size) (checksum32 b ~off ~len:f.f_size)));
-                f_read =
-                  (fun b ~limit cur ->
-                    let off = cur.pos in
-                    verify ~stored:(get_u32 b (off + f.f_size))
-                      ~sum:(checksum32 b ~off ~len:f.f_size);
-                    let v = f.f_read b ~limit cur in
-                    cur.pos <- off + f.f_size + 4;
-                    v);
-                (* Lazy per-leaf access deliberately bypasses verification;
-                   [decode] (eager) always verifies. *)
-                f_leaves = f.f_leaves;
-              }
-        | None -> None);
     }
 
 (* {2 Records}
@@ -522,64 +383,44 @@ let rec fields_write : type r k. (r, k) fields -> bytes -> int -> r -> int =
  fun fs buf off v ->
   match fs with [] -> off | f :: rest -> fields_write rest buf (f.codec.write buf off (f.get v)) v
 
-let rec fields_flat_write : type r k. (r, k) fields -> bytes -> int -> r -> unit =
- fun fs buf off v ->
-  match fs with
-  | [] -> ()
+(* Static bound and exact size of a field sequence; each is [None] as soon
+   as one field lacks it. *)
+let rec fields_static : type r k. (r, k) fields -> int option * exact option = function
+  | [] -> (Some 0, Some { e_size = 0; e_leaves = 0 })
   | f :: rest ->
-      let fl = flat_exn f.codec "Codec.record" in
-      fl.f_write buf off (f.get v);
-      fields_flat_write rest buf (off + fl.f_size) v
-
-(* Static bound, exact size and flat layout (footprint, leaves) of a field
-   sequence; each is [None] as soon as one field lacks it. *)
-let rec fields_static : type r k.
-    (r, k) fields -> int option * exact option * (int * leaf array) option = function
-  | [] -> (Some 0, Some { e_size = 0; e_leaves = 0 }, Some (0, [||]))
-  | f :: rest ->
-      let bound, exact, flat = fields_static rest in
+      let bound, exact = fields_static rest in
       ( (match (f.codec.bound, bound) with Some m, Some n -> Some (m + n) | _ -> None),
-        (match (f.codec.exact, exact) with
+        match (f.codec.exact, exact) with
         | Some a, Some b ->
             Some { e_size = a.e_size + b.e_size; e_leaves = a.e_leaves + b.e_leaves }
-        | _ -> None),
-        match (f.codec.flat, flat) with
-        | Some fa, Some (size, leaves) ->
-            Some (fa.f_size + size, Array.append fa.f_leaves (shift_leaves fa.f_size leaves))
         | _ -> None )
-
-(* Which of a field's readers a record reader composes. *)
-type select = { select : 'a. 'a t -> 'a reader }
-
-let compact_reader = { select = (fun c -> c.read) }
-let flat_reader = { select = (fun c -> (flat_exn c "Codec.record").f_read) }
 
 (* Fields are read left to right into locals and passed to [mk] in one
    full application, which allocates nothing. Records wider than six fields
    fall back to one partial application per extra field. *)
-let rec fields_reader : type r k. select -> (r, k) fields -> k -> r reader =
- fun s fs mk ->
+let rec fields_reader : type r k. (r, k) fields -> k -> r reader =
+ fun fs mk ->
   match fs with
   | [] -> fun _ ~limit:_ _ -> mk
   | [ a ] ->
-      let ra = s.select a.codec in
+      let ra = a.codec.read in
       fun buf ~limit cur -> mk (ra buf ~limit cur)
   | [ a; b ] ->
-      let ra = s.select a.codec and rb = s.select b.codec in
+      let ra = a.codec.read and rb = b.codec.read in
       fun buf ~limit cur ->
         let xa = ra buf ~limit cur in
         let xb = rb buf ~limit cur in
         mk xa xb
   | [ a; b; c ] ->
-      let ra = s.select a.codec and rb = s.select b.codec and rc = s.select c.codec in
+      let ra = a.codec.read and rb = b.codec.read and rc = c.codec.read in
       fun buf ~limit cur ->
         let xa = ra buf ~limit cur in
         let xb = rb buf ~limit cur in
         let xc = rc buf ~limit cur in
         mk xa xb xc
   | [ a; b; c; d ] ->
-      let ra = s.select a.codec and rb = s.select b.codec and rc = s.select c.codec in
-      let rd = s.select d.codec in
+      let ra = a.codec.read and rb = b.codec.read and rc = c.codec.read in
+      let rd = d.codec.read in
       fun buf ~limit cur ->
         let xa = ra buf ~limit cur in
         let xb = rb buf ~limit cur in
@@ -587,8 +428,8 @@ let rec fields_reader : type r k. select -> (r, k) fields -> k -> r reader =
         let xd = rd buf ~limit cur in
         mk xa xb xc xd
   | [ a; b; c; d; e ] ->
-      let ra = s.select a.codec and rb = s.select b.codec and rc = s.select c.codec in
-      let rd = s.select d.codec and re = s.select e.codec in
+      let ra = a.codec.read and rb = b.codec.read and rc = c.codec.read in
+      let rd = d.codec.read and re = e.codec.read in
       fun buf ~limit cur ->
         let xa = ra buf ~limit cur in
         let xb = rb buf ~limit cur in
@@ -597,8 +438,8 @@ let rec fields_reader : type r k. select -> (r, k) fields -> k -> r reader =
         let xe = re buf ~limit cur in
         mk xa xb xc xd xe
   | [ a; b; c; d; e; f ] ->
-      let ra = s.select a.codec and rb = s.select b.codec and rc = s.select c.codec in
-      let rd = s.select d.codec and re = s.select e.codec and rf = s.select f.codec in
+      let ra = a.codec.read and rb = b.codec.read and rc = c.codec.read in
+      let rd = d.codec.read and re = e.codec.read and rf = f.codec.read in
       fun buf ~limit cur ->
         let xa = ra buf ~limit cur in
         let xb = rb buf ~limit cur in
@@ -608,31 +449,21 @@ let rec fields_reader : type r k. select -> (r, k) fields -> k -> r reader =
         let xf = rf buf ~limit cur in
         mk xa xb xc xd xe xf
   | a :: rest ->
-      let ra = s.select a.codec in
+      let ra = a.codec.read in
       fun buf ~limit cur ->
         let xa = ra buf ~limit cur in
-        fields_reader s rest (mk xa) buf ~limit cur
+        fields_reader rest (mk xa) buf ~limit cur
 
 let record fields mk =
-  let bound, exact, flat = fields_static fields in
+  let bound, exact = fields_static fields in
   with_exact
     {
       size = (fun v -> fields_size fields v);
       write = (fun buf off v -> fields_write fields buf off v);
-      read = fields_reader compact_reader fields mk;
+      read = fields_reader fields mk;
       leaves = (fun v -> fields_leaves fields v);
       bound;
       exact;
-      flat =
-        Option.map
-          (fun (f_size, f_leaves) ->
-            {
-              f_size;
-              f_write = (fun buf off v -> fields_flat_write fields buf off v);
-              f_read = fields_reader flat_reader fields mk;
-              f_leaves;
-            })
-          flat;
     }
 
 let pair a b = record [ field a fst; field b snd ] (fun x y -> (x, y))
@@ -642,98 +473,26 @@ let triple a b c =
     [ field a (fun (x, _, _) -> x); field b (fun (_, y, _) -> y); field c (fun (_, _, z) -> z) ]
     (fun x y z -> (x, y, z))
 
-(* {2 Sizes and backend entry points} *)
+(* {2 Sizes and entry points} *)
 
 let size c v = c.size v
 let bound c = c.bound
 let leaf_count c v = c.leaves v
-let flat_capable c = c.flat <> None
+let encode c b off v = c.write b off v
 
-let flat_size c = (flat_exn c "Codec.flat_size").f_size
-let flat_leaves c = Array.length (flat_exn c "Codec.flat_leaves").f_leaves
-
-let encoded_size ~backend c v =
-  match backend with Compact -> c.size v | Flat -> (flat_exn c "Codec.encoded_size").f_size
-
-let encoded_leaves ~backend c v =
-  match backend with
-  | Compact -> c.leaves v
-  | Flat ->
-      let f = flat_exn c "Codec.encoded_leaves" in
-      if Array.length f.f_leaves > 0 then Array.length f.f_leaves else c.leaves v
-
-let encode ~backend c b off v =
-  match backend with
-  | Compact -> c.write b off v
-  | Flat ->
-      let f = flat_exn c "Codec.encode" in
-      if off < 0 || off + f.f_size > Bytes.length b then
-        invalid_arg "Codec.encode: buffer too small for flat layout";
-      f.f_write b off v;
-      off + f.f_size
-
-let decode ~backend c b ~off ~len =
+let decode c b ~off ~len =
   if off < 0 || len < 0 || off + len > Bytes.length b then
     invalid_arg "Codec.decode: range outside buffer";
   let cur = { pos = off } in
-  match backend with
-  | Compact ->
-      let v = c.read b ~limit:(off + len) cur in
-      if cur.pos <> off + len then
-        fail (Printf.sprintf "%d trailing bytes after message" (off + len - cur.pos));
-      v
-  | Flat ->
-      let f = flat_exn c "Codec.decode" in
-      if len <> f.f_size then
-        fail (Printf.sprintf "flat message size %d, expected %d" len f.f_size);
-      f.f_read b ~limit:(off + len) cur
+  let v = c.read b ~limit:(off + len) cur in
+  if cur.pos <> off + len then
+    fail (Printf.sprintf "%d trailing bytes after message" (off + len - cur.pos));
+  v
 
-let to_bytes ?(backend = Compact) c v =
-  let b = Bytes.create (encoded_size ~backend c v) in
-  let final = encode ~backend c b 0 v in
+let to_bytes c v =
+  let b = Bytes.create (c.size v) in
+  let final = encode c b 0 v in
   assert (final = Bytes.length b);
   b
 
-let of_bytes ?(backend = Compact) c b = decode ~backend c b ~off:0 ~len:(Bytes.length b)
-
-(* {2 Lazy positional access (flat layouts)} *)
-
-let leaf_ c b ~base ~leaf what =
-  let f = flat_exn c what in
-  if leaf < 0 || leaf >= Array.length f.f_leaves then
-    invalid_arg (Printf.sprintf "%s: leaf %d out of range (codec has %d)" what leaf
-                   (Array.length f.f_leaves));
-  let l = f.f_leaves.(leaf) in
-  let off = base + l.l_off in
-  if base < 0 || off + leaf_width l.l_kind > Bytes.length b then
-    fail (Printf.sprintf "%s: leaf %d outside buffer" what leaf);
-  (l, off)
-
-let get_leaf_int c b ~base ~leaf =
-  let l, off = leaf_ c b ~base ~leaf "Codec.get_leaf_int" in
-  match l.l_kind with
-  | L_u8 -> Bytes.get_uint8 b off
-  | L_u16 -> Bytes.get_uint16_le b off
-  | L_u32 -> get_u32 b off
-  | L_u64 -> Int64.to_int (Bytes.get_int64_le b off)
-  | L_bool -> (
-      match Bytes.get_uint8 b off with
-      | (0 | 1) as n -> n
-      | n -> fail (Printf.sprintf "invalid bool byte %d" n))
-  | L_fixed _ | L_bounded _ -> invalid_arg "Codec.get_leaf_int: leaf is not an integer"
-
-let get_leaf_string c b ~base ~leaf =
-  let l, off = leaf_ c b ~base ~leaf "Codec.get_leaf_string" in
-  match l.l_kind with
-  | L_fixed n -> Bytes.sub_string b off n
-  | L_bounded cap ->
-      let n = get_u32 b off in
-      if n > cap then fail (Printf.sprintf "bounded_string length %d exceeds capacity %d" n cap);
-      Bytes.sub_string b (off + 4) n
-  | _ -> invalid_arg "Codec.get_leaf_string: leaf is not a string"
-
-let leaf_bytes c ~leaf =
-  let f = flat_exn c "Codec.leaf_bytes" in
-  if leaf < 0 || leaf >= Array.length f.f_leaves then
-    invalid_arg "Codec.leaf_bytes: leaf out of range";
-  leaf_width f.f_leaves.(leaf).l_kind
+let of_bytes c b = decode c b ~off:0 ~len:(Bytes.length b)

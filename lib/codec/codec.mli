@@ -1,19 +1,12 @@
-(** Typed wire codecs with pluggable backends.
+(** Typed wire codecs.
 
     The paper deliberately keeps eRPC's API at the level of opaque
     DMA-capable buffers: "a library that provides marshalling and
     unmarshalling can be used as a layer on top of eRPC" (§3.1). This is
     that layer. A ['a t] describes how to put values of type ['a] on the
-    wire; two backends share each schema:
-
-    - {!Compact}: the length-prefixed little-endian binary layout.
-      Variable-size fields cost only what they use; every codec supports
-      it, and its wire bytes are identical to the pre-refactor codec.
-    - {!Flat}: a fixed-offset layout in which every field (a "leaf") lives
-      at a statically known offset, enabling {e lazy} per-field access via
-      {!get_leaf_int}/{!get_leaf_string} without decoding the whole
-      message. Only codecs built purely from bounded pieces support it
-      (see {!flat_capable}).
+    wire in one format: length-prefixed little-endian binary, where
+    variable-size fields cost only what they use. The golden tests in
+    [test_codec.ml] pin the KV and Raft wire bytes.
 
     Codecs also report a per-value {e leaf count} — the number of
     primitive fields touched by an encode or decode — which is what the
@@ -23,17 +16,12 @@
     Decoding failures (truncation, bad tags, checksum mismatch, trailing
     bytes) raise {!Decode_error}; they never raise [Invalid_argument] or
     return garbage. [Invalid_argument] is reserved for caller bugs: values
-    out of range for their field, codecs used with a backend they don't
-    support, leaf indices out of range.
+    out of range for their field.
 
     Msgbuf integration lives in [Erpc.Typed] (this library is beneath the
     transport so both [erpc] and plain data code can use it). *)
 
 exception Decode_error of string
-
-type backend = Compact | Flat
-
-val backend_name : backend -> string
 
 type 'a t
 
@@ -50,13 +38,13 @@ val fixed_string : int -> string t
     length raises [Invalid_argument]. *)
 
 val string : string t
-(** u32 length + bytes. Unbounded, hence no flat layout. *)
+(** u32 length + bytes. Unbounded. *)
 
 val bounded_string : int -> string t
-(** Same compact wire format as {!string}, but with a declared capacity
-    [cap]. The flat layout reserves [4 + cap] bytes (u32 length + storage,
-    slack zero-filled). Writing more than [cap] bytes raises
-    [Invalid_argument]; decoding a length > [cap] raises {!Decode_error}. *)
+(** Same wire format as {!string}, but with a declared capacity [cap], so
+    the codec has a static {!bound} ([4 + cap]). Writing more than [cap]
+    bytes raises [Invalid_argument]; decoding a length > [cap] raises
+    {!Decode_error}. *)
 
 (** {1 Combinators} *)
 
@@ -76,8 +64,7 @@ val record : ('r, 'k) fields -> 'k -> 'r t
 (** [record fields make] encodes the fields back to back — the same bytes
     as nested {!pair}s. Decoding passes the fields, in order, to the
     curried constructor [make]; up to six fields, it allocates nothing
-    besides what [make] and the field readers return. A record is
-    flat-capable iff all its fields are. *)
+    besides what [make] and the field readers return. *)
 
 val pair : 'a t -> 'b t -> ('a * 'b) t
 val triple : 'a t -> 'b t -> 'c t -> ('a * 'b * 'c) t
@@ -86,22 +73,20 @@ val map : into:('a -> 'b) -> from:('b -> 'a) -> 'a t -> 'b t
 (** [map ~into ~from c] builds a codec for a richer type from codec [c]. *)
 
 val list : 'a t -> 'a list t
-(** u32-count-prefixed list. Compact only. *)
+(** u32-count-prefixed list. *)
 
 val array : 'a t -> 'a array t
 
 val tail_list : 'a t -> 'a list t
 (** Elements with {e no} count prefix, read until the end of the message.
-    Only valid as the final field of a schema. Compact only. *)
+    Only valid as the final field of a schema. *)
 
 val option : 'a t -> 'a option t
-(** Presence byte + payload. The flat layout zero-fills the payload region
-    when absent, keeping the footprint fixed. *)
+(** Presence byte + payload. *)
 
 val tail_option : 'a t -> 'a option t
 (** Presence encoded by message length: [Some] iff any bytes remain before
-    the end of the message. Only valid as the final field of a schema.
-    Compact only. *)
+    the end of the message. Only valid as the final field of a schema. *)
 
 (** {1 Tagged unions} *)
 
@@ -113,74 +98,41 @@ val case : tag:int -> 'b t -> inj:('b -> 'a) -> proj:('a -> 'b option) -> 'a cas
     to this case. *)
 
 val variant : name:string -> 'a case list -> 'a t
-(** Compact only. Decoding an unknown tag raises {!Decode_error}. *)
+(** Decoding an unknown tag raises {!Decode_error}. *)
 
 (** {1 Integrity} *)
 
 val with_checksum : 'a t -> 'a t
 (** [with_checksum c] appends a u32 FNV-1a checksum of the encoded body;
-    eager decodes verify it and raise {!Decode_error} on mismatch —
-    app-level end-to-end integrity on top of the per-packet wire checksum.
-    Wire bytes are identical to the pre-refactor codec. Note: lazy leaf
-    access on a flat checksummed message deliberately skips verification —
-    only full {!decode} checks. *)
+    decoding verifies it and raises {!Decode_error} on mismatch —
+    app-level end-to-end integrity on top of the per-packet wire checksum. *)
 
 (** {1 Sizes} *)
 
 val size : 'a t -> 'a -> int
-(** Exact compact encoded size of a value. A codec whose every value has
-    the same size (built only from fixed-width primitives, {!fixed_string},
+(** Exact encoded size of a value. A codec whose every value has the same
+    size (built only from fixed-width primitives, {!fixed_string},
     {!record}, {!map} and {!with_checksum}) answers without looking at the
-    value; so do {!encoded_size} and {!encoded_leaves}. *)
+    value; so does {!leaf_count}. *)
 
 val bound : 'a t -> int option
-(** Static upper bound on the compact size, when one exists. *)
+(** Static upper bound on the encoded size, when one exists. *)
 
-val encoded_size : backend:backend -> 'a t -> 'a -> int
 val leaf_count : 'a t -> 'a -> int
-val encoded_leaves : backend:backend -> 'a t -> 'a -> int
-val flat_capable : 'a t -> bool
-
-val flat_size : 'a t -> int
-(** Fixed wire footprint under {!Flat}. Raises [Invalid_argument] if the
-    codec has no flat layout. *)
-
-val flat_leaves : 'a t -> int
-(** Number of addressable leaves under {!Flat}. *)
 
 (** {1 Encode / decode} *)
 
-val encode : backend:backend -> 'a t -> bytes -> int -> 'a -> int
-(** [encode ~backend c b off v] writes [v] at [off] and returns the end
-    offset. The caller must have sized [b] via {!encoded_size}; [Flat]
-    bounds-checks first and raises [Invalid_argument] on a too-small
-    buffer without touching it. *)
+val encode : 'a t -> bytes -> int -> 'a -> int
+(** [encode c b off v] writes [v] at [off] and returns the end offset.
+    The caller must have sized [b] via {!size}. *)
 
-val decode : backend:backend -> 'a t -> bytes -> off:int -> len:int -> 'a
-(** Decodes exactly the [len] bytes at [off]. [Compact] requires full
-    consumption — trailing bytes raise {!Decode_error}, as does any
-    truncated or malformed prefix. [Flat] requires [len = flat_size]. *)
+val decode : 'a t -> bytes -> off:int -> len:int -> 'a
+(** Decodes exactly the [len] bytes at [off], requiring full consumption:
+    trailing bytes raise {!Decode_error}, as does any truncated or
+    malformed prefix. *)
 
-val to_bytes : ?backend:backend -> 'a t -> 'a -> bytes
-val of_bytes : ?backend:backend -> 'a t -> bytes -> 'a
-
-(** {1 Lazy field access} (flat layouts only)
-
-    Fields are addressed positionally by leaf index, in declaration
-    order. [base] is the offset of the message within [b]. Access
-    validates bounds and field content, raising {!Decode_error} on
-    corrupt data — but touches only that field's bytes, which is the
-    point: the cost model charges one leaf, not the whole message. *)
-
-val get_leaf_int : 'a t -> bytes -> base:int -> leaf:int -> int
-(** Integer leaves ([u8]/[u16]/[u32]/[u64]/[bool] — bool reads as 0/1). *)
-
-val get_leaf_string : 'a t -> bytes -> base:int -> leaf:int -> string
-(** String leaves ([fixed_string]/[bounded_string]). *)
-
-val leaf_bytes : 'a t -> leaf:int -> int
-(** Wire footprint of one leaf — what a lazy access's byte charge is
-    based on. *)
+val to_bytes : 'a t -> 'a -> bytes
+val of_bytes : 'a t -> bytes -> 'a
 
 (** {1 Checksums} *)
 

@@ -83,8 +83,6 @@ type t = {
   sm_failure_timeout_ns : int;
   opts : opts;
   cc : cc;
-  codec_backend : Codec.backend;
-  codec_offload : bool;
   shm_enabled : bool;
   shm_mode : Shm.mode;
   shm_slots : int;
@@ -127,8 +125,6 @@ let of_cluster ?credits (cluster : Transport.Cluster.t) =
     sm_failure_timeout_ns = 5_000_000;
     opts = all_opts_on;
     cc = default_cc ~min_rtt_ns;
-    codec_backend = Codec.Compact;
-    codec_offload = false;
     shm_enabled = false;
     shm_mode = Shm.Auto;
     shm_slots = 512;

@@ -75,11 +75,6 @@ type t = {
   sm_failure_timeout_ns : int;  (** node-failure detection timeout *)
   opts : opts;
   cc : cc;
-  codec_backend : Codec.backend;
-      (** wire format typed RPCs use by default (see {!Typed}) *)
-  codec_offload : bool;
-      (** model a NIC-offloaded codec: zero the CPU's per-field charge,
-          pay a DMA/doorbell cost instead (Dagger/RPCAcc-style) *)
   shm_enabled : bool;
       (** wrap the wire transport in the {!Shm} intra-host mux: packets to
           co-located destinations (see {!Transport.Cluster.colocate}) take

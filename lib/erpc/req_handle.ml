@@ -6,12 +6,10 @@ type t = {
   mutable cpu : Sim.Cpu.t;
   mutable resp : Msgbuf.t;
   mutable prealloc_resp : Msgbuf.t;
-  codec_mode : Codec.backend * bool;
   mutable slot_req_num : unit -> int;
   mutable charge_fn : t -> int -> unit;
   mutable init_resp_fn : t -> int -> Msgbuf.t;
-  mutable codec_charge_fn :
-    t -> deser:bool -> backend:Codec.backend -> leaves:int -> bytes:int -> unit;
+  mutable codec_charge_fn : t -> deser:bool -> leaves:int -> bytes:int -> unit;
   mutable enqueue_fn : t -> Msgbuf.t -> unit;
   mutable run_on_worker : Sim.Cpu.t -> unit;
 }
@@ -20,10 +18,7 @@ let get_request t = t.req
 
 let charge t ns = t.charge_fn t ns
 
-let codec_mode t = t.codec_mode
-
-let charge_codec t ~deser ~backend ~leaves ~bytes =
-  t.codec_charge_fn t ~deser ~backend ~leaves ~bytes
+let charge_codec t ~deser ~leaves ~bytes = t.codec_charge_fn t ~deser ~leaves ~bytes
 
 let init_response t ~size = t.init_resp_fn t size
 
@@ -38,7 +33,7 @@ let enqueue_response t resp =
   t.responded <- true;
   t.enqueue_fn t resp
 
-let create ~cpu ~codec_mode =
+let create ~cpu =
   {
     req_type = -1;
     req = Msgbuf.nil;
@@ -47,11 +42,10 @@ let create ~cpu ~codec_mode =
     cpu;
     resp = Msgbuf.nil;
     prealloc_resp = Msgbuf.nil;
-    codec_mode;
     slot_req_num = (fun () -> -1);
     charge_fn = (fun _ _ -> ());
     init_resp_fn = (fun _ size -> Msgbuf.alloc ~max_size:size);
-    codec_charge_fn = (fun _ ~deser:_ ~backend:_ ~leaves:_ ~bytes:_ -> ());
+    codec_charge_fn = (fun _ ~deser:_ ~leaves:_ ~bytes:_ -> ());
     enqueue_fn = (fun _ _ -> invalid_arg "Req_handle: enqueue_fn not installed");
     run_on_worker = (fun _ -> ());
   }

@@ -29,12 +29,10 @@ type t = {
   mutable cpu : Sim.Cpu.t;  (** the thread running the handler: dispatch or worker *)
   mutable resp : Msgbuf.t;  (** a worker handler's response on its way to dispatch *)
   mutable prealloc_resp : Msgbuf.t;  (** the slot's MTU-sized response, {!Msgbuf.nil} until used *)
-  codec_mode : Codec.backend * bool;
   mutable slot_req_num : unit -> int;  (** the slot's current request number *)
   mutable charge_fn : t -> int -> unit;
   mutable init_resp_fn : t -> int -> Msgbuf.t;
-  mutable codec_charge_fn :
-    t -> deser:bool -> backend:Codec.backend -> leaves:int -> bytes:int -> unit;
+  mutable codec_charge_fn : t -> deser:bool -> leaves:int -> bytes:int -> unit;
   mutable enqueue_fn : t -> Msgbuf.t -> unit;
   mutable run_on_worker : Sim.Cpu.t -> unit;  (** a Worker-mode request's job *)
 }
@@ -44,15 +42,10 @@ val get_request : t -> Msgbuf.t
 (** Model [ns] of handler CPU work on the thread running the handler. *)
 val charge : t -> int -> unit
 
-(** The owning endpoint's configured [(codec_backend, codec_offload)] —
-    how {!Typed} picks a wire format server-side. *)
-val codec_mode : t -> Codec.backend * bool
-
 (** Charge one encode/decode to the thread running the handler, priced by
-    the endpoint's cost model (and its offload toggle). Used by {!Typed};
-    handlers normally don't call it directly. *)
-val charge_codec :
-  t -> deser:bool -> backend:Codec.backend -> leaves:int -> bytes:int -> unit
+    the endpoint's cost model. Used by {!Typed}; handlers normally don't
+    call it directly. *)
+val charge_codec : t -> deser:bool -> leaves:int -> bytes:int -> unit
 
 (** Obtain a response buffer of [size] bytes. *)
 val init_response : t -> size:int -> Msgbuf.t
@@ -67,4 +60,4 @@ val enqueue_response : t -> Msgbuf.t -> unit
 
 (** Internal constructor used by {!Rpc}: a handle with no-op closures,
     charging [cpu], which the owner then installs. *)
-val create : cpu:Sim.Cpu.t -> codec_mode:Codec.backend * bool -> t
+val create : cpu:Sim.Cpu.t -> t

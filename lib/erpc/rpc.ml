@@ -60,15 +60,11 @@ let dead t = Nexus.dead t.nexus_
 
 (* {2 Typed-codec charging} *)
 
-let codec_mode t = (t.cfg.codec_backend, t.cfg.codec_offload)
-
 (* Charge one typed encode/decode to [cpu], priced by the endpoint's cost
-   model and its offload toggle. [traced]: emit a "codec" span over the
-   charged interval (dispatch timeline only — worker CPUs have no trace
-   track). *)
-let charge_codec_cpu t cpu ~traced ~deser ~backend ~leaves ~bytes =
-  let offload = t.cfg.codec_offload in
-  let cost = Cost_model.codec_cost t.cost ~deser ~backend ~offload ~leaves ~bytes in
+   model. [traced]: emit a "codec" span over the charged interval
+   (dispatch timeline only — worker CPUs have no trace track). *)
+let charge_codec_cpu t cpu ~traced ~deser ~leaves ~bytes =
+  let cost = Cost_model.codec_cost t.cost ~deser ~leaves ~bytes in
   if traced && Obs.Trace.enabled t.trace then begin
     let ts = max (Sim.Engine.now t.engine) (Sim.Cpu.next_free cpu) in
     ignore (Sim.Cpu.charge cpu cost);
@@ -77,17 +73,12 @@ let charge_codec_cpu t cpu ~traced ~deser ~backend ~leaves ~bytes =
       ~cat:"codec"
       ~name:(if deser then "deser" else "ser")
       ~pid:t.pid ~tid:t.tid
-      [
-        ("leaves", Obs.Trace.I leaves);
-        ("bytes", Obs.Trace.I bytes);
-        ("offload", Obs.Trace.I (if offload then 1 else 0));
-      ]
+      [ ("leaves", Obs.Trace.I leaves); ("bytes", Obs.Trace.I bytes) ]
   end
   else ignore (Sim.Cpu.charge cpu cost)
 
-let charge_codec ?backend t ~deser ~leaves ~bytes =
-  let backend = match backend with Some b -> b | None -> t.cfg.codec_backend in
-  charge_codec_cpu t t.cpu_ ~traced:true ~deser ~backend ~leaves ~bytes
+let charge_codec t ~deser ~leaves ~bytes =
+  charge_codec_cpu t t.cpu_ ~traced:true ~deser ~leaves ~bytes
 
 (* {2 Request-handle operations}
 
@@ -99,8 +90,8 @@ let handle_charge t (h : Req_handle.t) ns =
 
 (* Worker CPUs have no trace track, so only dispatch-thread codec work
    is traced. *)
-let handle_charge_codec t (h : Req_handle.t) ~deser ~backend ~leaves ~bytes =
-  charge_codec_cpu t h.cpu ~traced:(h.cpu == t.cpu_) ~deser ~backend ~leaves ~bytes
+let handle_charge_codec t (h : Req_handle.t) ~deser ~leaves ~bytes =
+  charge_codec_cpu t h.cpu ~traced:(h.cpu == t.cpu_) ~deser ~leaves ~bytes
 
 (* A response that fits one packet uses the slot's preallocated MTU-sized
    msgbuf (§4.3); anything larger is a modeled dynamic allocation. *)
@@ -359,7 +350,7 @@ and slot_handle t sess slot srv =
   match srv.handle with
   | Some h -> h
   | None ->
-      let h = Req_handle.create ~cpu:t.cpu_ ~codec_mode:(codec_mode t) in
+      let h = Req_handle.create ~cpu:t.cpu_ in
       (* A worker handler's response reaches the dispatch thread in two
          steps: an event when the worker's charged work ends, then the
          background queue. *)

@@ -87,16 +87,11 @@ val enqueue_request_hooked :
   cont:((unit, Err.t) result -> unit) ->
   unit
 
-(** The endpoint's configured [(codec_backend, codec_offload)]. *)
-val codec_mode : t -> Codec.backend * bool
-
 (** Charge one typed encode ([deser:false]) or decode ([deser:true]) of a
     message with [leaves] fields and [bytes] wire bytes to the dispatch
-    CPU, priced by the endpoint's cost model and offload toggle, emitting
-    a "codec" trace span over the charged interval. [backend] defaults to
-    the endpoint's configured backend. Used by {!Typed}. *)
-val charge_codec :
-  ?backend:Codec.backend -> t -> deser:bool -> leaves:int -> bytes:int -> unit
+    CPU, priced by the endpoint's cost model, emitting a "codec" trace
+    span over the charged interval. Used by {!Typed}. *)
+val charge_codec : t -> deser:bool -> leaves:int -> bytes:int -> unit
 
 (** {2 Statistics} *)
 

@@ -10,8 +10,8 @@ let predictor (cluster : Transport.Cluster.t) =
     let ser = Sim.Time.of_bytes_at_gbps size cfg.link_gbps in
     (2 * (ser + cfg.cable_ns)) + cfg.switch_latency_ns
 
-let run ?seed ?trace ?(samples = 32) ?(req_size = 32) ?(typed = false)
-    ?(backend = Codec.Compact) ?(offload = false) ?(transport = `Raw_eth) () =
+let run ?seed ?trace ?(samples = 32) ?(req_size = 32) ?(typed = false) ?(transport = `Raw_eth)
+    () =
   let cluster = Transport.Cluster.cx5 ~nodes:2 () in
   let cluster =
     match transport with
@@ -22,9 +22,7 @@ let run ?seed ?trace ?(samples = 32) ?(req_size = 32) ?(typed = false)
     match trace with Some tr -> tr | None -> Obs.Trace.create ~capacity:(1 lsl 16) ()
   in
   let config =
-    { (Erpc.Config.of_cluster cluster) with codec_backend = backend; codec_offload = offload }
-  in
-  let config =
+    let config = Erpc.Config.of_cluster cluster in
     match transport with
     | `Raw_eth -> config
     | `Rdma_rc -> { config with Erpc.Config.transport = Erpc.Config.Rdma_rc }

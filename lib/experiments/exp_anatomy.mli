@@ -19,8 +19,8 @@ type result = {
 val predictor : Transport.Cluster.t -> int -> int
 
 (** When [typed] (default false), the echo carries a fixed-width typed
-    schema through {!Erpc.Typed} under [backend] / [offload], so the
-    breakdowns gain nonzero serialize/deserialize components.
+    schema through {!Erpc.Typed}, so the breakdowns gain nonzero
+    serialize/deserialize components.
 
     [transport] selects the datapath under the same workload (the
     three-transport anatomy): [`Raw_eth] (default) is the lossy UDP NIC,
@@ -34,8 +34,6 @@ val run :
   ?samples:int ->
   ?req_size:int ->
   ?typed:bool ->
-  ?backend:Codec.backend ->
-  ?offload:bool ->
   ?transport:[ `Raw_eth | `Rdma_rc | `Shm ] ->
   unit ->
   result

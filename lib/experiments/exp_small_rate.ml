@@ -75,20 +75,12 @@ let run_fasst ?seed ?trace ?window ?warmup_ms ?measure_ms
     ~per_batch_cost_ns:210 ~cluster ~batch ()
 
 (* Same all-to-all mesh as [run], but issuing typed requests (fixed-width
-   24 B schema) so serialization rides the datapath under the configured
-   backend / offload toggle. *)
+   24 B schema) so serialization rides the datapath. *)
 let run_typed ?seed ?(window = 60) ?(warmup_ms = 1.0) ?(measure_ms = 4.0)
-    ~(cluster : Transport.Cluster.t) ~backend ~offload ~batch () =
-  let config =
-    {
-      (Erpc.Config.of_cluster cluster) with
-      codec_backend = backend;
-      codec_offload = offload;
-    }
-  in
+    ~(cluster : Transport.Cluster.t) ~batch () =
   let codec = Harness.schema_fixed and value = Harness.value_fixed in
   let d =
-    Harness.deploy ?seed ~config cluster ~threads_per_host:1
+    Harness.deploy ?seed cluster ~threads_per_host:1
       ~register:(Harness.register_typed_echo codec)
   in
   let n = cluster.num_hosts in
@@ -153,20 +145,11 @@ let factor_analysis ?seed ?measure_ms () =
       (base.opts, [])
       steps
   in
-  (* Typed-serialization rows: not cumulative with the steps above — each
-     re-runs the full-optimization baseline with schema-driven requests
-     under the named codec configuration, isolating the datapath cost of
-     typed (de)serialization. *)
+  (* The typed-serialization row: not cumulative with the steps above — it
+     re-runs the full-optimization baseline with schema-driven requests,
+     isolating the datapath cost of typed (de)serialization. *)
   let codec_rows =
-    List.map
-      (fun (label, backend, offload) ->
-        (label, run_typed ?seed ?measure_ms ~cluster ~backend ~offload ~batch:3 ()))
-      [
-        ("Typed codec: compact backend", Codec.Compact, false);
-        ("Typed codec: flat backend", Codec.Flat, false);
-        ("Typed codec: compact + NIC offload", Codec.Compact, true);
-        ("Typed codec: flat + NIC offload", Codec.Flat, true);
-      ]
+    [ ("Typed codec: compact backend", run_typed ?seed ?measure_ms ~cluster ~batch:3 ()) ]
   in
   (* Transport rows: also non-cumulative — the full-optimization baseline
      re-run on each alternate datapath. The shm row colocates hosts in

@@ -40,27 +40,24 @@ val run_fasst :
   result
 
 (** As {!run}, but issuing typed requests (fixed-width 24 B schema) via
-    {!Erpc.Typed}, so schema (de)serialization is charged on the datapath
-    under [backend] and the NIC [offload] toggle. *)
+    {!Erpc.Typed}, so schema (de)serialization is charged on the
+    datapath. *)
 val run_typed :
   ?seed:int64 ->
   ?window:int ->
   ?warmup_ms:float ->
   ?measure_ms:float ->
   cluster:Transport.Cluster.t ->
-  backend:Codec.backend ->
-  offload:bool ->
   batch:int ->
   unit ->
   result
 
 (** Table 3 factor analysis on CX4 with B=3: optimizations disabled
     cumulatively, in the paper's order, starting with the baseline.
-    Extended with non-cumulative "Typed codec" rows (the baseline re-run
-    with typed requests under each codec backend, with and without NIC
-    offload) and "Transport" rows (the baseline on the RDMA RC datapath,
-    and on a pairwise-colocated cluster where the shared-memory transport
-    carries the intra-host share of the mesh). Returns (label, result)
-    rows. *)
+    Extended with non-cumulative rows: "Typed codec" (the baseline re-run
+    with typed requests) and "Transport" (the baseline on the RDMA RC
+    datapath, and on a pairwise-colocated cluster where the shared-memory
+    transport carries the intra-host share of the mesh). Returns (label,
+    result) rows. *)
 val factor_analysis :
   ?seed:int64 -> ?measure_ms:float -> unit -> (string * result) list

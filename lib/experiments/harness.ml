@@ -142,46 +142,35 @@ let driver_completed t = t.completed
 
 (* {2 Typed workloads}
 
-   Schema-driven counterparts of the echo workload, for exercising the
-   codec backends end-to-end: the server decodes the request and re-encodes
-   it as the response, charging modeled (de)serialization cost per the
-   endpoint's [Config.codec_backend] / [codec_offload]. *)
+   Schema-driven counterparts of the echo workload, exercising the codec
+   end-to-end: the server decodes the request and re-encodes it as the
+   response, charging modeled (de)serialization cost. *)
 
 let typed_echo_req_type = 2
 
-(* Benchmark schemas. Both are flat-capable so every backend x schema
-   combination is valid; [schema_fixed] is all fixed-width (the flat
-   backend's best case, lazy-access friendly), [schema_var] carries a
-   variable-length payload in a bounded field. *)
+(* The benchmark schema: all fixed-width, 24 wire bytes in 3 leaves. *)
 let schema_fixed : ((int * int) * string) Codec.t =
   Codec.(pair (pair u32 u32) (fixed_string 16))
 
 let value_fixed = ((7, 42), "0123456789abcdef")
 
-let schema_var : (int * string) Codec.t = Codec.(pair u32 (bounded_string 64))
-let value_var = (9, String.make 32 'x')
-
-let register_typed_echo (type a) ?(req_type = typed_echo_req_type) (codec : a Codec.t) nx
-    =
-  Erpc.Nexus.register_handler nx ~req_type ~mode:Erpc.Nexus.Dispatch (fun h ->
+let register_typed_echo (type a) (codec : a Codec.t) nx =
+  Erpc.Nexus.register_handler nx ~req_type:typed_echo_req_type ~mode:Erpc.Nexus.Dispatch
+    (fun h ->
       let v = Erpc.Typed.read_request h codec in
       Erpc.Typed.respond h codec v)
 
-type typed_driver = { td_start : unit -> unit; td_completed : unit -> int }
+type typed_driver = unit -> unit
 
-let make_typed_driver (type a) ?latencies ?(batch = 1) ?(per_batch_cost_ns = 0)
-    ?(req_type = typed_echo_req_type) ~(codec : a Codec.t) ~(value : a) ~rng ~rpc
+let make_typed_driver (type a) ?(batch = 1) ~(codec : a Codec.t) ~(value : a) ~rng ~rpc
     ~sessions ~window () =
   assert (window > 0 && batch > 0 && Array.length sessions > 0);
-  let engine = Erpc.Fabric.engine (Erpc.Rpc.nexus rpc |> Erpc.Nexus.fabric) in
-  let backend = fst (Erpc.Rpc.codec_mode rpc) in
-  let max_size = Codec.encoded_size ~backend codec value in
+  let max_size = Codec.size codec value in
   let bufs =
     Array.init window (fun _ ->
         (Erpc.Msgbuf.alloc ~max_size, Erpc.Msgbuf.alloc ~max_size))
   in
   let ready = ref (List.init window Fun.id) in
-  let completed = ref 0 in
   let rec issue_ready () =
     while List.length !ready >= batch do
       let rec take n acc rest =
@@ -190,30 +179,19 @@ let make_typed_driver (type a) ?latencies ?(batch = 1) ?(per_batch_cost_ns = 0)
       in
       let batch_idx, rest = take batch [] !ready in
       ready := rest;
-      if per_batch_cost_ns > 0 then
-        ignore (Sim.Cpu.charge (Erpc.Rpc.cpu rpc) per_batch_cost_ns);
       List.iter issue_one batch_idx
     done
   and issue_one idx =
     let req_buf, resp_buf = bufs.(idx) in
     let sess = sessions.(Sim.Rng.int rng (Array.length sessions)) in
-    let t0 = Sim.Engine.now engine in
-    Erpc.Typed.enqueue_request rpc sess ~req_type ~req_codec:codec ~resp_codec:codec
-      ~req_buf ~resp_buf value ~cont:(fun r ->
-        (match r with
-        | Ok _ -> (
-            incr completed;
-            match latencies with
-            | Some h -> Stats.Hist.record h (Sim.Time.sub (Sim.Engine.now engine) t0)
-            | None -> ())
-        | Error _ -> ());
+    Erpc.Typed.enqueue_request rpc sess ~req_type:typed_echo_req_type ~req_codec:codec
+      ~resp_codec:codec ~req_buf ~resp_buf value ~cont:(fun _ ->
         ready := idx :: !ready;
         issue_ready ())
   in
-  { td_start = issue_ready; td_completed = (fun () -> !completed) }
+  issue_ready
 
-let start_typed_driver t = t.td_start ()
-let typed_driver_completed t = t.td_completed ()
+let start_typed_driver t = t ()
 
 let total_completed d =
   Array.fold_left

@@ -69,33 +69,25 @@ val driver_completed : driver -> int
 
     Schema-driven counterparts of the echo workload: the server decodes
     the request and re-encodes it as the response through {!Erpc.Typed},
-    charging modeled (de)serialization per the endpoint's configured codec
-    backend and offload toggle. *)
+    charging modeled (de)serialization. *)
 
 val typed_echo_req_type : int
 
-(** Benchmark schemas, both flat-capable: [schema_fixed] is all
-    fixed-width (24 wire bytes, 3 leaves); [schema_var] carries a
-    variable-length payload in a 64-byte bounded field. *)
+(** The benchmark schema: all fixed-width (24 wire bytes, 3 leaves). *)
 val schema_fixed : ((int * int) * string) Codec.t
 
 val value_fixed : (int * int) * string
-val schema_var : (int * string) Codec.t
-val value_var : int * string
 
 (** Install a typed echo handler: decode with [codec], respond with the
     decoded value re-encoded. *)
-val register_typed_echo : ?req_type:int -> 'a Codec.t -> Erpc.Nexus.t -> unit
+val register_typed_echo : 'a Codec.t -> Erpc.Nexus.t -> unit
 
 (** As {!driver}, but issuing typed requests carrying [value] under
     [codec], with serialization charged on the datapath. *)
 type typed_driver
 
 val make_typed_driver :
-  ?latencies:Stats.Hist.t ->
   ?batch:int ->
-  ?per_batch_cost_ns:int ->
-  ?req_type:int ->
   codec:'a Codec.t ->
   value:'a ->
   rng:Sim.Rng.t ->
@@ -106,7 +98,6 @@ val make_typed_driver :
   typed_driver
 
 val start_typed_driver : typed_driver -> unit
-val typed_driver_completed : typed_driver -> int
 
 (** Sum of completed client RPCs across all threads of a deployment. *)
 val total_completed : deployment -> int

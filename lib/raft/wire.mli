@@ -1,6 +1,5 @@
 (** Wire codec for {!Core.msg} with [string] commands, built on the
-    shared {!Codec} schema layer (compact backend; wire bytes identical to
-    the original hand-rolled encoder).
+    shared {!Codec} schema layer. Golden tests pin the wire bytes.
 
     The integration layer (Raft-over-eRPC, §7.1) writes these schemas into
     msgbufs; the Raft core itself never sees the encoding, mirroring how

@@ -126,7 +126,7 @@ let exec t ~(request : Kv_proto.request) ~deadline_ns
          trace. The typed layer still owns encode/decode + buffer sizing. *)
       Erpc.Typed.enqueue_request t.rpc sess ~req_type:Kv_proto.kv_req_type
         ~req_codec:Kv_proto.request_codec ~resp_codec:Kv_proto.response_codec
-        ~backend:Codec.Compact ~charge:false request
+        ~charge:false request
         ~cont:(fun r ->
           if (not !done_) && not !settled then begin
             settled := true;

@@ -21,11 +21,9 @@ type status =
   | Retry of int option
   | Not_found
 
-(* Every schema below is pinned to the compact backend: these are the
-   service's frozen wire formats (same-seed chaos traces must stay
-   byte-identical across refactors), independent of whatever backend the
-   endpoint's [Config.codec_backend] selects for typed workloads. *)
-let backend = Codec.Compact
+(* The schemas below are the service's wire formats: the golden tests in
+   [test_codec.ml] pin their bytes, and same-seed chaos traces depend on
+   them. *)
 
 (* Request: op(4) shard(4) client_id(4) seq(4) key value. GETs carry a
    zero-filled value region so one fixed layout serves both ops; a PUT
@@ -49,8 +47,8 @@ let request_codec : request Codec.t =
     (fun opc shard client_id seq key value ->
       { op = (if opc = 0 then Put else Get); shard; client_id; seq; key; value })
 
-let write_request m (r : request) = Erpc.Typed.write ~backend request_codec m r
-let read_request m = Erpc.Typed.read ~backend request_codec m
+let write_request m (r : request) = Erpc.Typed.write request_codec m r
+let read_request m = Erpc.Typed.read request_codec m
 
 (* Response: status(4) hint(4) [value]. The hint encodes host+1 so 0 can
    mean "no hint"; the value region is present iff the message has bytes
@@ -85,9 +83,9 @@ let response_codec : (status * string option) Codec.t =
       (status, value))
 
 let write_response m ~status ~value =
-  Erpc.Typed.write ~backend response_codec m (status, value)
+  Erpc.Typed.write response_codec m (status, value)
 
-let read_response m = Erpc.Typed.read ~backend response_codec m
+let read_response m = Erpc.Typed.read response_codec m
 
 (* Replicated command: client_id(4) seq(4) key value, as a string so the
    Raft core and wire format stay command-agnostic. *)
@@ -105,7 +103,7 @@ let cmd_codec : (int * int * string * string) Codec.t =
     (fun client_id seq key value -> (client_id, seq, key, value))
 
 let encode_cmd ~client_id ~seq ~key ~value =
-  Bytes.unsafe_to_string (Codec.to_bytes ~backend cmd_codec (client_id, seq, key, value))
+  Bytes.unsafe_to_string (Codec.to_bytes cmd_codec (client_id, seq, key, value))
 
 let noop_client_id = 0xffff_ffff
 
@@ -114,7 +112,7 @@ let noop_cmd ~seq =
 
 (* Decoding only reads, so the command string is decoded in place. *)
 let decode_cmd s =
-  Codec.decode ~backend cmd_codec (Bytes.unsafe_of_string s) ~off:0 ~len:(String.length s)
+  Codec.decode cmd_codec (Bytes.unsafe_of_string s) ~off:0 ~len:(String.length s)
 
 (* Raft frame: shard(4) ^ message bytes. *)
 let raft_frame_codec : (int * string Raft.Core.msg) Codec.t =
@@ -123,12 +121,12 @@ let raft_frame_codec : (int * string Raft.Core.msg) Codec.t =
 let raft_frame_size msg = Codec.size raft_frame_codec (0, msg)
 
 let alloc_raft_frame ~shard msg =
-  Erpc.Typed.alloc_and_write ~backend raft_frame_codec (shard, msg)
+  Erpc.Typed.alloc_and_write raft_frame_codec (shard, msg)
 
 let write_raft_frame m ~shard msg =
-  Erpc.Typed.write ~backend raft_frame_codec m (shard, msg)
+  Erpc.Typed.write raft_frame_codec m (shard, msg)
 
-let read_raft_frame m = Erpc.Typed.read ~backend raft_frame_codec m
+let read_raft_frame m = Erpc.Typed.read raft_frame_codec m
 
 (* Replies are the fixed-size cases of the Raft schema, so any one value of
    each gives its frame size. *)

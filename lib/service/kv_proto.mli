@@ -1,6 +1,6 @@
 (** Wire protocol of the sharded replicated-KV service, defined as
-    {!Codec} schemas (compact backend pinned — these layouts are frozen;
-    same-seed chaos traces must stay byte-identical across refactors).
+    {!Codec} schemas. Golden tests pin their wire bytes; same-seed chaos
+    traces depend on them.
 
     Two request types share every replica host:
 
@@ -50,11 +50,11 @@ val resp_max_size : int
 (** Schema of {!request}: op(4) shard(4) client_id(4) seq(4) key value.
     A GET's value region is all zeros whatever its [value] field holds; a
     PUT's value must be exactly [value_size] bytes, or encoding raises
-    [Invalid_argument]. Flat-capable. *)
+    [Invalid_argument]. *)
 val request_codec : request Codec.t
 
 (** Schema of [(status, value)]: status(4) hint(4), value present iff
-    bytes remain past the header (so the codec is compact-only). *)
+    bytes remain past the header. *)
 val response_codec : (status * string option) Codec.t
 
 val write_request : Erpc.Msgbuf.t -> request -> unit

@@ -1,19 +1,18 @@
-(* Tests for the schema/codec layer: per-backend roundtrips, golden wire
-   bytes (the service's frozen formats), strict prefix/corruption fuzzing,
-   typed msgbuf integration, and typed RPC end-to-end (flat backend and
-   NIC-offload included). *)
+(* Tests for the schema/codec layer: roundtrips, golden wire bytes (the
+   service's frozen formats), strict prefix/corruption fuzzing, typed
+   msgbuf integration, and typed RPC end-to-end. *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_str = Alcotest.(check string)
 
-let roundtrip ?backend c v = Codec.of_bytes ?backend c (Codec.to_bytes ?backend c v)
+let roundtrip c v = Codec.of_bytes c (Codec.to_bytes c v)
 
 let hex b =
   String.concat ""
     (List.init (Bytes.length b) (fun i -> Printf.sprintf "%02x" (Char.code (Bytes.get b i))))
 
-(* {2 Primitives and combinators (compact)} *)
+(* {2 Primitives and combinators} *)
 
 let test_primitives () =
   check_int "u8" 200 (roundtrip Codec.u8 200);
@@ -67,10 +66,9 @@ let test_sizes_exact () =
   check_int "list size" (4 + (2 * 4)) (Codec.size Codec.(list u32) [ 1; 2 ]);
   check_int "option none size" 1 (Codec.size Codec.(option u64) None);
   check_int "checksum adds 4" (4 + 5 + 4) (Codec.size (Codec.with_checksum Codec.string) "hello");
-  (* size = compact encoded_size, and the buffer really is that long. *)
+  (* The encoding really is [size] long. *)
   let c = Codec.(pair u16 (list bool)) in
   let v = (9, [ true; false; true ]) in
-  check_int "encoded_size" (Codec.size c v) (Codec.encoded_size ~backend:Codec.Compact c v);
   check_int "to_bytes length" (Codec.size c v) (Bytes.length (Codec.to_bytes c v))
 
 let test_bounds () =
@@ -142,57 +140,26 @@ let test_with_checksum () =
        false
      with Codec.Decode_error _ -> true)
 
-(* {2 Flat backend} *)
-
-let flat_schema = Codec.(pair (pair u32 u16) (pair (fixed_string 8) (bounded_string 12)))
-let flat_value = ((0xCAFE, 77), ("8-bytes!", "short"))
-
-let test_flat_roundtrip () =
-  check_bool "flat capable" true (Codec.flat_capable flat_schema);
-  check_bool "flat roundtrip" true (roundtrip ~backend:Codec.Flat flat_schema flat_value = flat_value);
-  check_int "flat size is fixed" (Codec.flat_size flat_schema)
-    (Bytes.length (Codec.to_bytes ~backend:Codec.Flat flat_schema flat_value));
-  check_int "flat size = 4+2+8+(4+12)" (4 + 2 + 8 + 4 + 12) (Codec.flat_size flat_schema);
-  (* Short value lengths encode deterministically (slack zero-filled). *)
-  check_bool "deterministic"  true
-    (Codec.to_bytes ~backend:Codec.Flat flat_schema flat_value
-    = Codec.to_bytes ~backend:Codec.Flat flat_schema flat_value);
-  check_bool "string not flat capable" true (not (Codec.flat_capable Codec.string));
-  Alcotest.check_raises "flat on unbounded"
-    (Invalid_argument "Codec.encoded_size: codec has no flat layout (unbounded field?)")
-    (fun () -> ignore (Codec.encoded_size ~backend:Codec.Flat Codec.string "x"))
-
-let test_flat_wrong_length_raises () =
-  let b = Codec.to_bytes ~backend:Codec.Flat flat_schema flat_value in
-  check_bool "truncated flat rejected" true
-    (try
-       ignore (Codec.of_bytes ~backend:Codec.Flat flat_schema (Bytes.sub b 0 (Bytes.length b - 1)));
-       false
-     with Codec.Decode_error _ -> true)
-
-let test_flat_lazy_access () =
-  check_int "leaf count" 4 (Codec.flat_leaves flat_schema);
-  let b = Codec.to_bytes ~backend:Codec.Flat flat_schema flat_value in
-  check_int "leaf 0 int" 0xCAFE (Codec.get_leaf_int flat_schema b ~base:0 ~leaf:0);
-  check_int "leaf 1 int" 77 (Codec.get_leaf_int flat_schema b ~base:0 ~leaf:1);
-  check_str "leaf 2 string" "8-bytes!" (Codec.get_leaf_string flat_schema b ~base:0 ~leaf:2);
-  check_str "leaf 3 string" "short" (Codec.get_leaf_string flat_schema b ~base:0 ~leaf:3);
-  check_int "leaf_bytes of u32" 4 (Codec.leaf_bytes flat_schema ~leaf:0);
-  Alcotest.check_raises "string leaf as int"
-    (Invalid_argument "Codec.get_leaf_int: leaf is not an integer") (fun () ->
-      ignore (Codec.get_leaf_int flat_schema b ~base:0 ~leaf:2))
-
 (* {2 QCheck: roundtrips and fuzzing} *)
+
+(* The second input: fixed-width and bounded fields in nested pairs. *)
+let bounded_schema = Codec.(pair (pair u32 u16) (pair (fixed_string 8) (bounded_string 12)))
 
 let qcheck_roundtrip =
   let gen =
     QCheck2.Gen.(
-      list_size (int_range 0 50)
-        (triple (int_range 0 0xFFFFFFFF) (small_string ~gen:printable) bool))
+      pair
+        (list_size (int_range 0 50)
+           (triple (int_range 0 0xFFFFFFFF) (small_string ~gen:printable) bool))
+        (pair
+           (pair (int_range 0 0xFFFFFFFF) (int_range 0 0xFFFF))
+           (pair
+              (string_size ~gen:printable (return 8))
+              (string_size ~gen:printable (int_range 0 12)))))
   in
   QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~name:"codec roundtrip (list of triples)" ~count:300 gen (fun v ->
-         roundtrip Codec.(list (triple u32 string bool)) v = v))
+    (QCheck2.Test.make ~name:"codec roundtrip (list of triples)" ~count:300 gen (fun (v, w) ->
+         roundtrip Codec.(list (triple u32 string bool)) v = v && roundtrip bounded_schema w = w))
 
 let qcheck_nested =
   let c = Codec.(option (pair (list u16) string)) in
@@ -204,20 +171,6 @@ let qcheck_nested =
     (QCheck2.Test.make ~name:"codec roundtrip (nested option)" ~count:300 gen (fun v ->
          roundtrip c v = v))
 
-let qcheck_flat_roundtrip =
-  let gen =
-    QCheck2.Gen.(
-      pair
-        (pair (int_range 0 0xFFFFFFFF) (int_range 0 0xFFFF))
-        (pair
-           (string_size ~gen:printable (return 8))
-           (string_size ~gen:printable (int_range 0 12))))
-  in
-  QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~name:"flat roundtrip" ~count:300 gen (fun v ->
-         roundtrip ~backend:Codec.Flat flat_schema v = v
-         && roundtrip ~backend:Codec.Compact flat_schema v = v))
-
 (* Strict prefix property: for codecs without tail fields, no strict
    prefix of a valid encoding is itself valid — decode must raise
    [Decode_error] (and nothing else) for every one. *)
@@ -228,7 +181,6 @@ let prefix_cases =
     ("list", Codec.to_bytes Codec.(list u16) [ 1; 2; 3 ]);
     ("variant", Codec.to_bytes shape_codec (Label "edge"));
     ("checksum", Codec.to_bytes (Codec.with_checksum Codec.string) "hello");
-    ("flat", Codec.to_bytes ~backend:Codec.Flat flat_schema flat_value);
     ( "raft frame rv",
       Codec.to_bytes Service.Kv_proto.raft_frame_codec
         ( 1,
@@ -269,7 +221,6 @@ let decode_of_name name =
   | "list" -> fun b -> ignore (Codec.of_bytes Codec.(list u16) b)
   | "variant" -> fun b -> ignore (Codec.of_bytes shape_codec b)
   | "checksum" -> fun b -> ignore (Codec.of_bytes (Codec.with_checksum Codec.string) b)
-  | "flat" -> fun b -> ignore (Codec.of_bytes ~backend:Codec.Flat flat_schema b)
   | "raft frame rv" | "raft frame aer" | "raft frame ae" ->
       fun b -> ignore (Codec.of_bytes Service.Kv_proto.raft_frame_codec b)
   | _ -> assert false
@@ -403,19 +354,6 @@ let test_golden_raft_frame () =
     (hex (Codec.to_bytes Service.Kv_proto.raft_frame_codec (2, msg)));
   check_int "frame size" (4 + Raft.Wire.encoded_size msg) (Service.Kv_proto.raft_frame_size msg)
 
-let test_kv_request_flat_leaves () =
-  (* The KV request schema is all fixed-width, so the flat backend can
-     address its 6 leaves without a full decode. *)
-  check_bool "flat capable" true (Codec.flat_capable Service.Kv_proto.request_codec);
-  check_int "leaves" 6 (Codec.flat_leaves Service.Kv_proto.request_codec);
-  let r =
-    { Service.Kv_proto.op = Service.Kv_proto.Put; shard = 3; client_id = 7; seq = 42; key = key16; value = ramp64 }
-  in
-  let b = Codec.to_bytes ~backend:Codec.Flat Service.Kv_proto.request_codec r in
-  check_bool "flat = compact bytes" true (b = Codec.to_bytes Service.Kv_proto.request_codec r);
-  check_int "seq leaf" 42 (Codec.get_leaf_int Service.Kv_proto.request_codec b ~base:0 ~leaf:3);
-  check_str "key leaf" key16 (Codec.get_leaf_string Service.Kv_proto.request_codec b ~base:0 ~leaf:4)
-
 (* A PUT whose value is not exactly [value_size] bytes is a caller bug the
    codec must refuse; it must never reach the wire as zeros. *)
 let test_kv_put_value_length () =
@@ -448,7 +386,7 @@ let test_raft_reply_max_size () =
 
    For random values of every schema in [Kv_proto] and [Raft.Wire]:
 
-   - [size], [encoded_size] and [encode] agree on the byte count, and
+   - [size] and [encode] agree on the byte count, and
      [encode] writes nothing past it (constant-size schemas answer [size]
      without looking at the value, so this also checks that shortcut);
    - decoding re-encodes to the same bytes;
@@ -540,9 +478,8 @@ let schema_property (S (name, c, tail, v)) =
   let b = Codec.to_bytes c v in
   let n = Bytes.length b in
   if Codec.size c v <> n then fail "size %d, encoded %d" (Codec.size c v) n;
-  if Codec.encoded_size ~backend:Codec.Compact c v <> n then fail "encoded_size differs";
   let big = Bytes.make (n + 8) '\xAA' in
-  if Codec.encode ~backend:Codec.Compact c big 3 v <> n + 3 then fail "encode end offset";
+  if Codec.encode c big 3 v <> n + 3 then fail "encode end offset";
   if Bytes.sub big (n + 3) 5 <> Bytes.make 5 '\xAA' then fail "encode wrote past its size";
   if Codec.to_bytes c (Codec.of_bytes c b) <> b then fail "decode does not re-encode";
   for k = 0 to n - 1 do
@@ -682,9 +619,9 @@ let test_alloc_and_write () =
 let sum_req_codec = Codec.(pair (bounded_string 8) (list u32))
 let sum_resp_codec = Codec.u64
 
-let run_sum_rpc ?config () =
+let run_sum_rpc () =
   let cluster = Transport.Cluster.cx5 ~nodes:2 () in
-  let fabric = Erpc.Fabric.create ?config cluster in
+  let fabric = Erpc.Fabric.create cluster in
   let nx0 = Erpc.Nexus.create fabric ~host:0 () in
   let nx1 = Erpc.Nexus.create fabric ~host:1 () in
   Erpc.Nexus.register_handler nx1 ~req_type:5 ~mode:Erpc.Nexus.Dispatch (fun h ->
@@ -709,44 +646,6 @@ let test_typed_rpc_over_erpc () =
   | Ok sum -> check_int "typed RPC answer" 15 sum
   | Error e -> Alcotest.failf "typed RPC failed: %s" (Erpc.Err.to_string e)
 
-let test_typed_rpc_offload () =
-  let cluster = Transport.Cluster.cx5 ~nodes:2 () in
-  let config = { (Erpc.Config.of_cluster cluster) with codec_offload = true } in
-  match run_sum_rpc ~config () with
-  | Ok sum -> check_int "offloaded answer" 15 sum
-  | Error e -> Alcotest.failf "offloaded RPC failed: %s" (Erpc.Err.to_string e)
-
-(* Flat backend end-to-end, including lazy per-leaf access on the server:
-   the handler touches two of the three fields and responds from them. *)
-let flat_req_codec = Codec.(pair (pair u32 u32) (fixed_string 8))
-
-let test_typed_rpc_flat_lazy () =
-  let cluster = Transport.Cluster.cx5 ~nodes:2 () in
-  let config = { (Erpc.Config.of_cluster cluster) with codec_backend = Codec.Flat } in
-  let fabric = Erpc.Fabric.create ~config cluster in
-  let nx0 = Erpc.Nexus.create fabric ~host:0 () in
-  let nx1 = Erpc.Nexus.create fabric ~host:1 () in
-  let was_lazy = ref false in
-  Erpc.Nexus.register_handler nx1 ~req_type:6 ~mode:Erpc.Nexus.Dispatch (fun h ->
-      let v = Erpc.Typed.view_request h flat_req_codec in
-      was_lazy := Erpc.Typed.is_lazy v;
-      let a = Erpc.Typed.view_int v ~leaf:0 ~fallback:(fun ((a, _), _) -> a) in
-      let b = Erpc.Typed.view_int v ~leaf:1 ~fallback:(fun ((_, b), _) -> b) in
-      Erpc.Typed.respond h Codec.u64 (a + b));
-  let client = Erpc.Rpc.create nx0 ~rpc_id:0 in
-  let _server = Erpc.Rpc.create nx1 ~rpc_id:0 in
-  let sess = Erpc.Rpc.create_session client ~remote_host:1 ~remote_rpc_id:0 () in
-  let engine = Erpc.Fabric.engine fabric in
-  Sim.Engine.run_until engine (Sim.Time.ms 1.0);
-  let answer = ref 0 in
-  Erpc.Typed.enqueue_request client sess ~req_type:6 ~req_codec:flat_req_codec
-    ~resp_codec:Codec.u64
-    ((40, 2), "abcdefgh")
-    ~cont:(function Ok sum -> answer := sum | Error _ -> ());
-  Sim.Engine.run_until engine (Sim.Time.add (Sim.Engine.now engine) (Sim.Time.ms 5.0));
-  check_int "flat RPC answer" 42 !answer;
-  check_bool "server view was lazy" true !was_lazy
-
 let suite =
   [
     Alcotest.test_case "primitives" `Quick test_primitives;
@@ -759,12 +658,8 @@ let suite =
     Alcotest.test_case "trailing bytes raise" `Quick test_trailing_bytes_raise;
     Alcotest.test_case "variant" `Quick test_variant;
     Alcotest.test_case "with_checksum" `Quick test_with_checksum;
-    Alcotest.test_case "flat roundtrip" `Quick test_flat_roundtrip;
-    Alcotest.test_case "flat wrong length" `Quick test_flat_wrong_length_raises;
-    Alcotest.test_case "flat lazy access" `Quick test_flat_lazy_access;
     qcheck_roundtrip;
     qcheck_nested;
-    qcheck_flat_roundtrip;
     Alcotest.test_case "prefix fuzz" `Quick test_prefix_fuzz;
     Alcotest.test_case "corruption fuzz" `Quick test_corruption_fuzz;
     Alcotest.test_case "golden kv request" `Quick test_golden_kv_request;
@@ -772,7 +667,6 @@ let suite =
     Alcotest.test_case "golden kv cmd" `Quick test_golden_kv_cmd;
     Alcotest.test_case "golden raft" `Quick test_golden_raft;
     Alcotest.test_case "golden raft frame" `Quick test_golden_raft_frame;
-    Alcotest.test_case "kv request flat leaves" `Quick test_kv_request_flat_leaves;
     Alcotest.test_case "kv put value length" `Quick test_kv_put_value_length;
     Alcotest.test_case "raft reply max size" `Quick test_raft_reply_max_size;
     qcheck_schema_properties;
@@ -781,6 +675,4 @@ let suite =
     Alcotest.test_case "typed write + checksum" `Quick test_typed_write_checksum_compose;
     Alcotest.test_case "alloc_and_write" `Quick test_alloc_and_write;
     Alcotest.test_case "typed RPC over eRPC" `Quick test_typed_rpc_over_erpc;
-    Alcotest.test_case "typed RPC offloaded" `Quick test_typed_rpc_offload;
-    Alcotest.test_case "typed RPC flat lazy" `Quick test_typed_rpc_flat_lazy;
   ]
