@@ -133,20 +133,19 @@ let int_arg name default docv doc = Arg.(value & opt int default & info [ name ]
 let flag_arg name doc = Arg.(value & flag & info [ name ] ~doc)
 
 (* chaos and kv-chaos: a line per seeded run (plus its fault trace with
-   --trace) and a summary; the violations are every run's, plus a seed
-   whose rerun diverged. *)
-let print_suite ~seeds ~verbose ~deterministic ~trace ~violations pp runs =
+   --trace) and a summary. *)
+let print_suite ~verbose ~trace ~violations pp runs =
   List.iter
     (fun r ->
       Format.printf "%a@." pp r;
       if verbose then print_string (trace r))
     runs;
   let bad = List.length (List.filter (fun r -> violations r <> []) runs) in
-  Printf.printf "%d/%d schedules clean; deterministic=%b\n" (seeds - bad) seeds deterministic
+  Printf.printf "%d/%d schedules clean\n" (List.length runs - bad) (List.length runs)
 
-let suite_violations ~deterministic ~violations runs =
-  List.concat_map violations runs
-  @ if deterministic then [] else [ "nondeterministic: a seed's rerun diverged" ]
+(* A chaos suite's [--rerun] digest: every seed's fault trace, hashed. *)
+let suite_digest trace runs =
+  digest_all (List.map (fun r -> Digest.to_hex (Digest.string (trace r))) runs)
 
 (* {2 The registry} *)
 
@@ -182,11 +181,12 @@ let rate =
     (fun (c, batch, window, fasst) ->
       ( c,
         batch,
-        if fasst then Experiments.Exp_small_rate.run_fasst ~cluster:c ~batch ()
+        if fasst then Experiments.Exp_small_rate.run_fasst ~cluster:c ~window ~batch ()
         else Experiments.Exp_small_rate.run ~cluster:c ~window ~batch () ))
-    (fun _ (c, batch, r) ->
-      Printf.printf "%s B=%d: %.2f Mrps/thread (%d RPCs, %d retransmits)\n" c.name batch
-        r.per_thread_mrps r.total_rpcs r.retransmits)
+    (fun (_, _, _, fasst) (c, batch, r) ->
+      Printf.printf "%s%s B=%d: %.2f Mrps/thread (%d RPCs, %d retransmits)\n" c.name
+        (if fasst then " FaSST" else "")
+        batch r.per_thread_mrps r.total_rpcs r.retransmits)
     ~to_json:(fun (c, batch, r) ->
       Paper.bench_doc ~benchmark:"small_rate" ~unit:"Mrps" [ Paper.small_rate_row ~batch c r ])
 
@@ -299,12 +299,12 @@ let kv_chaos =
      invariants under leader crashes, partitions and rolling restarts"
     Term.(const (fun s v j -> (s, v, j)) $ seeds_arg $ verbose_arg $ jobs_arg)
     (fun (seeds, _, jobs) -> K.run_suite ~seeds ~jobs ())
-    (fun (seeds, verbose, _) (s : K.suite_result) ->
-      print_suite ~seeds ~verbose ~deterministic:s.deterministic
-        ~trace:(fun r -> r.K.trace) ~violations:(fun r -> r.K.violations) K.pp_run s.runs)
+    (fun (_, verbose, _) ->
+      print_suite ~verbose ~trace:(fun r -> r.K.trace) ~violations:(fun r -> r.K.violations)
+        K.pp_run)
     ~to_json:K.suite_to_json
-    ~violations:(fun s ->
-      suite_violations ~deterministic:s.deterministic ~violations:(fun r -> r.K.violations) s.runs)
+    ~digest:(suite_digest (fun r -> r.K.trace))
+    ~violations:(List.concat_map (fun r -> r.K.violations))
 
 let chaos =
   let module C = Experiments.Chaos in
@@ -316,11 +316,11 @@ let chaos =
       $ int_arg "requests" 120 "N" "RPCs issued per run."
       $ verbose_arg $ jobs_arg)
     (fun (seeds, events, requests, _, jobs) -> C.run_suite ~seeds ~events ~requests ~jobs ())
-    (fun (seeds, _, _, verbose, _) (s : C.suite_result) ->
-      print_suite ~seeds ~verbose ~deterministic:s.deterministic
-        ~trace:(fun r -> r.C.trace) ~violations:(fun r -> r.C.violations) C.pp_run s.runs)
-    ~violations:(fun (s : C.suite_result) ->
-      suite_violations ~deterministic:s.deterministic ~violations:(fun r -> r.C.violations) s.runs)
+    (fun (_, _, _, verbose, _) ->
+      print_suite ~verbose ~trace:(fun r -> r.C.trace) ~violations:(fun r -> r.C.violations)
+        C.pp_run)
+    ~digest:(suite_digest (fun r -> r.C.trace))
+    ~violations:(List.concat_map (fun r -> r.C.violations))
 
 let cluster_load =
   let module L = Experiments.Exp_cluster_load in
@@ -481,26 +481,6 @@ let trace =
         (if valid then ", valid JSON" else ""))
     ~violations:(fun (_, _, valid) -> if valid then [] else [ "trace file is not well-formed JSON" ])
 
-let bench_sim =
-  let module B = Experiments.Bench_sim in
-  let names = B.workload_names in
-  exp "bench-sim" "Simulator throughput: events/s and allocation per event"
-    Term.(
-      const (fun w s -> (w, s))
-      $ Arg.(
-          value
-          & opt (list (enum (List.map (fun n -> (n, n)) names))) names
-          & info [ "workloads" ] ~docv:"W,.."
-              ~doc:("Workloads to run (" ^ String.concat "|" names ^ ")."))
-      $ seed_arg)
-    (fun (workloads, seed) -> List.map (fun workload -> B.run_one ~workload ~seed) workloads)
-    (fun _ ->
-      List.iter (fun (r : B.row) ->
-          Printf.printf "%-10s %8.3f s  %9d events  %10.0f ev/s  %6.1f words/ev\n" r.workload
-            r.wall_s r.events r.events_per_sec r.minor_words_per_event))
-    ~to_json:B.to_json
-    ~digest:(fun rows -> digest_all (List.map (fun (r : B.row) -> r.digest) rows))
-
 let session_scale =
   let module S = Experiments.Exp_session_scale in
   exp "session-scale" "Fig. 7: one Rpc serving up to 20,000 sessions at constant per-session state"
@@ -546,7 +526,6 @@ let () =
             cmd masstree;
             cmd chaos;
             cmd kv_chaos;
-            cmd bench_sim;
             cmd session_scale;
             cmd rdma_scalability;
             cmd cluster_load;

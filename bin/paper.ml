@@ -6,12 +6,9 @@
    authors' testbed); the shape — who wins, by what factor, where behaviour
    changes — is the reproduction target.
 
-   These are the sections of `erpc_sim paper SECTION`. `micro` runs
-   Bechamel microbenchmarks over the hot datapath kernels (event queue,
-   timing wheel, Timely, histogram, MICA, Masstree, Raft codec), one
-   Test.make per kernel; `json` writes the BENCH_small_rate.json and
-   BENCH_latency.json snapshots; `all` runs every section except
-   `fig5full` and `json`. *)
+   These are the sections of `erpc_sim paper SECTION`. `json` writes the
+   BENCH_small_rate.json and BENCH_latency.json snapshots; `all` runs
+   every section except `fig5full` and `json`. *)
 
 let section title = Printf.printf "\n==== %s ====\n%!" title
 
@@ -370,107 +367,6 @@ let ablations () =
         r.rtt_p99_us)
     [ (Erpc.Config.Timely, "Timely"); (Erpc.Config.Dcqcn, "DCQCN") ]
 
-(* {2 Bechamel microbenchmarks} *)
-
-let micro () =
-  let open Bechamel in
-  let event_queue_kernel =
-    let rng = Sim.Rng.create 1L in
-    let q = Sim.Timing_wheel.create () in
-    Staged.stage (fun () ->
-        for i = 0 to 63 do
-          Sim.Timing_wheel.push q (Sim.Rng.int rng 1_000_000) i
-        done;
-        for _ = 0 to 63 do
-          ignore (Sim.Timing_wheel.pop q)
-        done)
-  in
-  let wheel_kernel =
-    let w = Erpc.Wheel.create ~slot_ns:1_000 ~num_slots:4096 in
-    let now = ref 0 in
-    Staged.stage (fun () ->
-        for i = 0 to 63 do
-          Erpc.Wheel.insert w ~now:!now ~at:(!now + (i * 500)) i
-        done;
-        now := !now + 40_000;
-        ignore (Erpc.Wheel.poll w ~now:!now (fun _ -> ())))
-  in
-  let timely_kernel =
-    let cc = Erpc.Config.default_cc ~min_rtt_ns:5_000 in
-    let tl = Erpc.Timely.create { cc with samples_per_update = 1 } ~link_gbps:25.0 in
-    let i = ref 0 in
-    Staged.stage (fun () ->
-        incr i;
-        Erpc.Timely.update tl ~sample_rtt_ns:(40_000 + (!i * 7919 mod 20_000)) ~marked:false ~now_ns:0)
-  in
-  let hist_kernel =
-    let h = Stats.Hist.create () in
-    let i = ref 0 in
-    Staged.stage (fun () ->
-        incr i;
-        Stats.Hist.record h (!i * 2654435761 land 0xFFFFF))
-  in
-  let mica_kernel =
-    let s = Mica.Store.create () in
-    for k = 0 to 9_999 do
-      Mica.Store.put s ~key:(Workload.Keygen.encode k) ~value:"0123456789abcdef"
-    done;
-    let i = ref 0 in
-    Staged.stage (fun () ->
-        incr i;
-        ignore (Mica.Store.get s ~key:(Workload.Keygen.encode (!i mod 10_000))))
-  in
-  let masstree_kernel =
-    let t = Masstree.Tree.create () in
-    for k = 0 to 9_999 do
-      Masstree.Tree.insert t ~key:(Workload.Keygen.encode k) ~value:"v"
-    done;
-    let i = ref 0 in
-    Staged.stage (fun () ->
-        incr i;
-        ignore (Masstree.Tree.get t ~key:(Workload.Keygen.encode (!i mod 10_000))))
-  in
-  let codec_kernel =
-    let msg =
-      Raft.Core.Append_entries
-        {
-          term = 7;
-          leader_id = 1;
-          prev_log_index = 41;
-          prev_log_term = 6;
-          leader_commit = 40;
-          entries = [ { Raft.Log.term = 7; cmd = String.make 80 'x' } ];
-        }
-    in
-    Staged.stage (fun () -> ignore (Raft.Wire.decode (Raft.Wire.encode msg)))
-  in
-  let tests =
-    [
-      Test.make ~name:"event_queue push+pop x64" event_queue_kernel;
-      Test.make ~name:"wheel insert+poll x64" wheel_kernel;
-      Test.make ~name:"timely update" timely_kernel;
-      Test.make ~name:"hist record" hist_kernel;
-      Test.make ~name:"mica get (10k keys)" mica_kernel;
-      Test.make ~name:"masstree get (10k keys)" masstree_kernel;
-      Test.make ~name:"raft codec roundtrip" codec_kernel;
-    ]
-  in
-  section "Bechamel microbenchmarks (ns per run)";
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.5) () in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
-  List.iter
-    (fun test ->
-      let raw = Benchmark.all cfg [ instance ] test in
-      let results = Analyze.all ols instance raw in
-      Hashtbl.iter
-        (fun name o ->
-          match Analyze.OLS.estimates o with
-          | Some [ est ] -> Printf.printf "%-32s %12.1f ns\n%!" name est
-          | _ -> Printf.printf "%-32s (no estimate)\n%!" name)
-        results)
-    tests
-
 (* The BENCH_*.json schema: one object per benchmark with labeled rows. *)
 let bench_doc ~benchmark ~unit rows =
   Obs.Json.(Obj [ ("benchmark", Str benchmark); ("unit", Str unit); ("rows", Arr rows) ])
@@ -532,7 +428,6 @@ let sections =
       ("table6", table6);
       ("masstree", masstree);
       ("ablations", ablations);
-      ("micro", micro);
       ("json", bench_json);
     ]
   in

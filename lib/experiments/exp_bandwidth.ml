@@ -2,6 +2,7 @@ type point = {
   req_size : int;
   goodput_gbps : float;
   retransmits : int;
+  digest : string;
 }
 
 let erpc_goodput ?(credits = 32) ?(requests = 8) ?(loss = 0.) ?seed ?trace ~req_size () =
@@ -46,6 +47,7 @@ let erpc_goodput ?(credits = 32) ?(requests = 8) ?(loss = 0.) ?seed ?trace ~req_
     req_size;
     goodput_gbps = (if elapsed <= 0 then 0. else bits /. float_of_int elapsed);
     retransmits = (Erpc.Rpc.stats client).Erpc.Rpc_stats.retransmits;
+    digest = Harness.fingerprint d;
   }
 
 let rdma_write_goodput ?(requests = 8) ~req_size () =
@@ -75,6 +77,7 @@ let rdma_write_goodput ?(requests = 8) ~req_size () =
     req_size;
     goodput_gbps = (if elapsed <= 0 then 0. else bits /. float_of_int elapsed);
     retransmits = 0;
+    digest = "";
   }
 
 let fig6 ?requests () =

@@ -10,6 +10,9 @@ type point = {
   req_size : int;
   goodput_gbps : float;
   retransmits : int;
+  digest : string;
+      (** {!Harness.fingerprint} of an eRPC run's end state; empty for RDMA
+          writes, which run without a deployment *)
 }
 
 (** eRPC goodput for one request size. [requests] round trips are timed

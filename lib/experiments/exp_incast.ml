@@ -6,6 +6,7 @@ type row = {
   rtt_p99_us : float;
   switch_buffer_peak_bytes : int;
   retransmits : int;
+  digest : string;
 }
 
 let victim = 0
@@ -91,6 +92,7 @@ let run ?seed ?trace ?credits ?algo ?(warmup_ms = 20.0) ?(measure_ms = 40.0) ~de
     rtt_p99_us = float_of_int (Stats.Hist.percentile rtt_hist 99.) /. 1e3;
     switch_buffer_peak_bytes;
     retransmits;
+    digest = Harness.fingerprint d;
   }
 
 let table5 ?measure_ms () =

@@ -18,6 +18,7 @@ type row = {
   switch_buffer_peak_bytes : int;
       (** deepest any switch buffer pool got, via the metrics registry *)
   retransmits : int;  (** total client retransmissions across all Rpcs *)
+  digest : string;  (** {!Harness.fingerprint} of the run's end state *)
 }
 
 val run :

@@ -2,6 +2,7 @@ type result = {
   per_thread_mrps : float;
   total_rpcs : int;
   retransmits : int;
+  digest : string;
 }
 
 let run ?seed ?config ?cost ?trace ?(window = 60) ?(warmup_ms = 1.0) ?(measure_ms = 4.0)
@@ -45,6 +46,7 @@ let run ?seed ?config ?cost ?trace ?(window = 60) ?(warmup_ms = 1.0) ?(measure_m
     per_thread_mrps = float_of_int total /. float_of_int n /. (measure_ms *. 1e6) *. 1e3;
     total_rpcs = total;
     retransmits;
+    digest = Harness.fingerprint d;
   }
 
 (* FaSST is specialized: no congestion control, no large-message or
@@ -117,6 +119,7 @@ let run_typed ?seed ?(window = 60) ?(warmup_ms = 1.0) ?(measure_ms = 4.0)
     per_thread_mrps = float_of_int total /. float_of_int n /. (measure_ms *. 1e6) *. 1e3;
     total_rpcs = total;
     retransmits;
+    digest = Harness.fingerprint d;
   }
 
 let factor_analysis ?seed ?measure_ms () =

@@ -9,6 +9,7 @@ type result = {
   per_thread_mrps : float;  (** client request rate per thread *)
   total_rpcs : int;
   retransmits : int;
+  digest : string;  (** {!Harness.fingerprint} of the run's end state *)
 }
 
 val run :

@@ -199,6 +199,23 @@ let total_completed d =
       Array.fold_left (fun acc rpc -> acc + (Erpc.Rpc.stats rpc).Erpc.Rpc_stats.completed) acc per_host)
     0 d.rpcs
 
+let fingerprint d =
+  let sum f =
+    Array.fold_left
+      (Array.fold_left (fun acc rpc -> acc + f (Erpc.Rpc.stats rpc)))
+      0 d.rpcs
+  in
+  let engine = Erpc.Fabric.engine d.fabric in
+  Digest.to_hex
+    (Digest.string
+       (Printf.sprintf "now=%d events=%d handled=%d retx=%d resets=%d corrupt=%d"
+          (Sim.Engine.now engine)
+          (Sim.Engine.events_processed engine)
+          (sum (fun s -> s.Erpc.Rpc_stats.handled))
+          (sum (fun s -> s.Erpc.Rpc_stats.retransmits))
+          (sum (fun s -> s.Erpc.Rpc_stats.session_resets))
+          (sum (fun s -> s.Erpc.Rpc_stats.rx_corrupt))))
+
 let rerun ~digest run =
   let r = run () in
   let d = digest r and d2 = digest (run ()) in

@@ -102,6 +102,13 @@ val start_typed_driver : typed_driver -> unit
 (** Sum of completed client RPCs across all threads of a deployment. *)
 val total_completed : deployment -> int
 
+(** MD5 (hex) of a deployment's end state: simulated clock, events
+    executed and the RPC stats (handled, retransmits, session resets,
+    checksum drops) summed over every Rpc. It derives only from simulation
+    state, so a same-seed rerun reproduces it exactly; golden tests pin it
+    per experiment. *)
+val fingerprint : deployment -> string
+
 (** The [--rerun] determinism gate: [rerun ~digest run] calls [run] twice
     and returns the first result with no violation if both digests agree,
     else one violation naming both digests. *)

@@ -2,7 +2,7 @@ type t = {
   window_ns : int;
   oks : int array;
   fails : int array;
-  lat : Stats.Hist.t array;  (** allocated lazily: most windows see traffic *)
+  lat : Stats.Hist.t array;  (** one per window, allocated by [create] *)
 }
 
 let create ~window_ns ~horizon_ns =

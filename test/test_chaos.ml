@@ -7,7 +7,8 @@ let check_bool = Alcotest.(check bool)
 
 let test_suite_invariants () =
   let s = Experiments.Chaos.run_suite ~seeds:20 () in
-  check_int "20 schedules ran" 20 (List.length s.runs);
+  let again = Experiments.Chaos.run_suite ~seeds:20 () in
+  check_int "20 schedules ran" 20 (List.length s);
   List.iter
     (fun (r : Experiments.Chaos.run_result) ->
       Alcotest.(check (list string))
@@ -19,11 +20,16 @@ let test_suite_invariants () =
       check_int
         (Printf.sprintf "seed %Ld: every request completed" r.seed)
         r.issued (r.ok + r.failed))
-    s.runs;
-  check_bool "same seed => byte-identical trace" true s.deterministic;
+    s;
+  List.iter2
+    (fun (a : Experiments.Chaos.run_result) (b : Experiments.Chaos.run_result) ->
+      Alcotest.(check string)
+        (Printf.sprintf "seed %Ld: same seed => byte-identical trace" a.seed)
+        a.trace b.trace)
+    s again;
   (* The suite must actually exercise recovery machinery, not idle through
      a quiet network. *)
-  let total f = List.fold_left (fun acc r -> acc + f r) 0 s.runs in
+  let total f = List.fold_left (fun acc r -> acc + f r) 0 s in
   check_bool "retransmissions exercised" true
     (total (fun (r : Experiments.Chaos.run_result) -> r.retransmits) > 0);
   check_bool "session resets exercised" true

@@ -214,7 +214,8 @@ let test_allocation_budget () =
     Experiments.Harness.run_ms d 2.0;
     Sim.Engine.events_processed (Erpc.Fabric.engine d.fabric)
   in
-  (* Warm once so one-time pool/table growth is excluded, as in bench-sim. *)
+  (* Warm once so one-time pool and table growth is excluded from the
+     measured run. *)
   ignore (run ());
   Gc.full_major ();
   let w0 = Gc.minor_words () in
