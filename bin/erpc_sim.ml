@@ -179,16 +179,16 @@ let rate =
       $ int_arg "window" 60 "N" "Requests in flight per thread."
       $ flag_arg "fasst" "Run the FaSST-like specialized baseline.")
     (fun (c, batch, window, fasst) ->
-      ( c,
-        batch,
-        if fasst then Experiments.Exp_small_rate.run_fasst ~cluster:c ~window ~batch ()
-        else Experiments.Exp_small_rate.run ~cluster:c ~window ~batch () ))
-    (fun (_, _, _, fasst) (c, batch, r) ->
+      if fasst then
+        (c, batch, "fasst", Experiments.Exp_small_rate.run_fasst ~cluster:c ~window ~batch ())
+      else (c, batch, "erpc", Experiments.Exp_small_rate.run ~cluster:c ~window ~batch ()))
+    (fun (_, _, _, fasst) (c, batch, _, r) ->
       Printf.printf "%s%s B=%d: %.2f Mrps/thread (%d RPCs, %d retransmits)\n" c.name
         (if fasst then " FaSST" else "")
         batch r.per_thread_mrps r.total_rpcs r.retransmits)
-    ~to_json:(fun (c, batch, r) ->
-      Paper.bench_doc ~benchmark:"small_rate" ~unit:"Mrps" [ Paper.small_rate_row ~batch c r ])
+    ~to_json:(fun (c, batch, system, r) ->
+      Paper.bench_doc ~benchmark:"small_rate" ~unit:"Mrps"
+        [ Paper.small_rate_row ~system ~batch c r ])
 
 let bandwidth =
   exp "bandwidth" "Figure 6 / Table 4: large-RPC goodput over 100 Gbps"

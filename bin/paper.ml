@@ -371,10 +371,14 @@ let ablations () =
 let bench_doc ~benchmark ~unit rows =
   Obs.Json.(Obj [ ("benchmark", Str benchmark); ("unit", Str unit); ("rows", Arr rows) ])
 
-let small_rate_row ~batch (c : Transport.Cluster.t) (r : Experiments.Exp_small_rate.result) =
+(* [system] names the RPC stack measured: "erpc", or "fasst" for the
+   specialized baseline, whose rows are otherwise indistinguishable. *)
+let small_rate_row ~system ~batch (c : Transport.Cluster.t)
+    (r : Experiments.Exp_small_rate.result) =
   Obs.Json.(
     Obj
       [
+        ("system", Str system);
         ("cluster", Str c.name);
         ("batch", Int batch);
         ("per_thread_mrps", Float r.per_thread_mrps);
@@ -397,7 +401,8 @@ let bench_json () =
     (bench_doc ~benchmark:"small_rate" ~unit:"Mrps"
        (List.map
           (fun batch ->
-            small_rate_row ~batch cluster (Experiments.Exp_small_rate.run ~cluster ~batch ()))
+            small_rate_row ~system:"erpc" ~batch cluster
+              (Experiments.Exp_small_rate.run ~cluster ~batch ()))
           [ 3; 5; 11 ]));
   write "BENCH_latency.json"
     (bench_doc ~benchmark:"latency" ~unit:"us"

@@ -441,8 +441,11 @@ and complete_request t slot cli =
      request is stamped done, so its CPU time lands inside this request's
      lifetime rather than leaking into the next one. *)
   on_complete resp;
+  let done_ts = t.env.cpu_time () in
+  t.stats.Rpc_stats.latency_ns_sum <-
+    t.stats.Rpc_stats.latency_ns_sum + Sim.Time.sub done_ts slot.issue_time;
   if Obs.Trace.enabled t.trace then
-    trace_sslot t ~ts:(t.env.cpu_time ()) ~name:"req_done" ~sn:sess.sn ~req:req_num [];
+    trace_sslot t ~ts:done_ts ~name:"req_done" ~sn:sess.sn ~req:req_num [];
   cont (Ok ());
   (* Admit backlogged requests into freed slots. *)
   admit_backlog t sess

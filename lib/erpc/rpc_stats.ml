@@ -9,6 +9,7 @@ type t = {
   mutable completed : int;
   mutable handled : int;
   mutable wheel_inserts : int;
+  mutable latency_ns_sum : int;
 }
 
 let create () =
@@ -23,6 +24,7 @@ let create () =
     completed = 0;
     handled = 0;
     wheel_inserts = 0;
+    latency_ns_sum = 0;
   }
 
 let pp fmt t =

@@ -21,6 +21,10 @@ type t = {
   mutable completed : int;  (** client RPCs completed *)
   mutable handled : int;  (** server requests handled *)
   mutable wheel_inserts : int;  (** packets paced through the Carousel wheel *)
+  mutable latency_ns_sum : int;
+      (** sum over completed client RPCs of completion CPU time minus
+          admission time: a checksum of completion latencies, so a pure
+          timing change moves it even when every counter stays put *)
 }
 
 val create : unit -> t

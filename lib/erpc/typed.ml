@@ -18,12 +18,6 @@ let write c m v = write_sized c m v (Codec.size c v)
 let read c m =
   Codec.decode c (Msgbuf.unsafe_bytes m) ~off:(Msgbuf.unsafe_offset m) ~len:(Msgbuf.size m)
 
-let alloc_and_write c v =
-  let n = Codec.size c v in
-  let m = Msgbuf.alloc ~max_size:n in
-  write_sized c m v n;
-  m
-
 (* {2 Client side} *)
 
 let enqueue_request rpc sess ~req_type ~req_codec ~resp_codec ?(charge = true) ?req_buf

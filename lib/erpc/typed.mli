@@ -25,9 +25,6 @@ val read : 'a Codec.t -> Msgbuf.t -> 'a
     (reads the underlying storage in place; valid on RX views). Raises
     {!Codec.Decode_error} on malformed input. *)
 
-val alloc_and_write : 'a Codec.t -> 'a -> Msgbuf.t
-(** An exactly-sized fresh msgbuf holding the encoding of the value. *)
-
 (** {1 Client side} *)
 
 val enqueue_request :

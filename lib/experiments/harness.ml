@@ -208,13 +208,14 @@ let fingerprint d =
   let engine = Erpc.Fabric.engine d.fabric in
   Digest.to_hex
     (Digest.string
-       (Printf.sprintf "now=%d events=%d handled=%d retx=%d resets=%d corrupt=%d"
+       (Printf.sprintf "now=%d events=%d handled=%d retx=%d resets=%d corrupt=%d lat=%d"
           (Sim.Engine.now engine)
           (Sim.Engine.events_processed engine)
           (sum (fun s -> s.Erpc.Rpc_stats.handled))
           (sum (fun s -> s.Erpc.Rpc_stats.retransmits))
           (sum (fun s -> s.Erpc.Rpc_stats.session_resets))
-          (sum (fun s -> s.Erpc.Rpc_stats.rx_corrupt))))
+          (sum (fun s -> s.Erpc.Rpc_stats.rx_corrupt))
+          (sum (fun s -> s.Erpc.Rpc_stats.latency_ns_sum))))
 
 let rerun ~digest run =
   let r = run () in

@@ -104,7 +104,10 @@ val total_completed : deployment -> int
 
 (** MD5 (hex) of a deployment's end state: simulated clock, events
     executed and the RPC stats (handled, retransmits, session resets,
-    checksum drops) summed over every Rpc. It derives only from simulation
+    checksum drops, and the completion-latency checksum
+    [latency_ns_sum]) summed over every Rpc. The latency checksum makes
+    a pure timing change (a CPU cost moved by 1 ns) show even when the
+    clock is fixed by the run length and every counter stays put. It derives only from simulation
     state, so a same-seed rerun reproduces it exactly; golden tests pin it
     per experiment. *)
 val fingerprint : deployment -> string

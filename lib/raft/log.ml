@@ -34,8 +34,10 @@ let truncate_from t from =
   if from < 1 then invalid_arg "Log.truncate_from: index must be >= 1";
   if from <= t.len then t.len <- from - 1
 
+(* Built back to front: one cons cell per entry. *)
 let entries_from t ~from ~max =
-  let rec go i acc n =
-    if i > t.len || n = 0 then List.rev acc else go (i + 1) (t.entries.(i - 1) :: acc) (n - 1)
-  in
-  go from [] max
+  let acc = ref [] in
+  for i = min t.len (from + max - 1) downto from do
+    acc := t.entries.(i - 1) :: !acc
+  done;
+  !acc

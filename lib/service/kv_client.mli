@@ -75,3 +75,9 @@ val redirects : t -> int
 
 (** End-to-end latency (ns) of successful operations. *)
 val latencies : t -> Stats.Hist.t
+
+(** Request/response msgbuf pairs allocated so far. Each attempt takes a
+    pair from the client's free stack and returns it when its
+    continuation runs (when eRPC hands the buffers back), so this stays at
+    the peak number of attempts in flight. *)
+val msgbuf_pairs : t -> int

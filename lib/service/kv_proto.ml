@@ -50,6 +50,20 @@ let request_codec : request Codec.t =
 let write_request m (r : request) = Erpc.Typed.write request_codec m r
 let read_request m = Erpc.Typed.read request_codec m
 
+(* Field readers: one fixed offset each, so a handler reads the fields it
+   needs without decoding the record (a GET never copies the value). *)
+let check_request m =
+  if Erpc.Msgbuf.size m <> req_size then
+    raise
+      (Codec.Decode_error
+         (Printf.sprintf "kv request of %d bytes (expected %d)" (Erpc.Msgbuf.size m) req_size))
+
+let request_op m = if Erpc.Msgbuf.get_u32 m ~off:0 = 0 then Put else Get
+let request_shard m = Erpc.Msgbuf.get_u32 m ~off:4
+let request_client_id m = Erpc.Msgbuf.get_u32 m ~off:8
+let request_seq m = Erpc.Msgbuf.get_u32 m ~off:12
+let request_key m = Erpc.Msgbuf.read_string m ~off:16 ~len:key_size
+
 (* Response: status(4) hint(4) [value]. The hint encodes host+1 so 0 can
    mean "no hint"; the value region is present iff the message has bytes
    past the 8-byte header. *)
@@ -105,6 +119,9 @@ let cmd_codec : (int * int * string * string) Codec.t =
 let encode_cmd ~client_id ~seq ~key ~value =
   Bytes.unsafe_to_string (Codec.to_bytes cmd_codec (client_id, seq, key, value))
 
+(* A PUT request is op(4) shard(4) followed by exactly a command's bytes. *)
+let request_cmd m = Erpc.Msgbuf.read_string m ~off:8 ~len:cmd_size
+
 let noop_client_id = 0xffff_ffff
 
 let noop_cmd ~seq =
@@ -119,9 +136,6 @@ let raft_frame_codec : (int * string Raft.Core.msg) Codec.t =
   Codec.pair Codec.u32 Raft.Wire.msg_codec
 
 let raft_frame_size msg = Codec.size raft_frame_codec (0, msg)
-
-let alloc_raft_frame ~shard msg =
-  Erpc.Typed.alloc_and_write raft_frame_codec (shard, msg)
 
 let write_raft_frame m ~shard msg =
   Erpc.Typed.write raft_frame_codec m (shard, msg)

@@ -60,6 +60,23 @@ val response_codec : (status * string option) Codec.t
 val write_request : Erpc.Msgbuf.t -> request -> unit
 val read_request : Erpc.Msgbuf.t -> request
 
+(** {3 Field readers}
+
+    Read one field of an encoded request straight from its msgbuf (an RX
+    view on the server) at its fixed offset, without building a
+    {!request}: the integer readers allocate nothing and {!request_key}
+    only the key. Call {!check_request} first. *)
+
+(** Raises {!Codec.Decode_error} unless the message is exactly
+    [req_size] bytes. *)
+val check_request : Erpc.Msgbuf.t -> unit
+
+val request_op : Erpc.Msgbuf.t -> op
+val request_shard : Erpc.Msgbuf.t -> int
+val request_client_id : Erpc.Msgbuf.t -> int
+val request_seq : Erpc.Msgbuf.t -> int
+val request_key : Erpc.Msgbuf.t -> string
+
 (** Exact response size for a status/value pair; allocate or
     [init_response] with this before {!write_response}. *)
 val resp_size : value:string option -> int
@@ -80,6 +97,10 @@ val cmd_size : int
 val cmd_codec : (int * int * string * string) Codec.t
 
 val encode_cmd : client_id:int -> seq:int -> key:string -> value:string -> string
+
+(** The replicated command of a PUT request, read in one copy: a request's
+    bytes from offset 8 on are exactly [encode_cmd] of its fields. *)
+val request_cmd : Erpc.Msgbuf.t -> string
 
 (** Reserved client id of leader no-op barrier entries. A freshly elected
     leader replicates one no-op so that entries from previous terms become
@@ -103,10 +124,6 @@ val raft_frame_codec : (int * string Raft.Core.msg) Codec.t
 (** Exact frame size for a message: 4 bytes of shard id plus the codec
     bytes. *)
 val raft_frame_size : string Raft.Core.msg -> int
-
-(** A fresh, exactly-sized msgbuf holding the frame; sizes the message
-    once. *)
-val alloc_raft_frame : shard:int -> string Raft.Core.msg -> Erpc.Msgbuf.t
 
 val write_raft_frame : Erpc.Msgbuf.t -> shard:int -> string Raft.Core.msg -> unit
 val read_raft_frame : Erpc.Msgbuf.t -> int * string Raft.Core.msg

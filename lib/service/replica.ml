@@ -27,6 +27,7 @@ type t = {
   raft_cfg : Raft.Core.config;
   shard_states : shard_state array;  (** ascending shard order *)
   peer_sessions : (int, Erpc.Session.session) Hashtbl.t;  (** keyed by host *)
+  frame_bufs : Buf_pool.t;  (** Raft frame and reply buffers *)
   mutable pending_reply : (int * string Raft.Core.msg) option;
   commit_lat : Stats.Hist.t;
   trace : Obs.Trace.t;
@@ -188,21 +189,26 @@ let send_raft t st dst msg =
       match session_to t dst_host with
       | None -> drop_raft t st ~dst_host
       | Some sess ->
-          let req = Kv_proto.alloc_raft_frame ~shard:st.shard msg in
-          let resp = Erpc.Msgbuf.alloc ~max_size:Kv_proto.raft_reply_max_size in
-          Erpc.Rpc.enqueue_request t.rpc sess ~req_type:Kv_proto.raft_req_type ~req
-            ~resp ~cont:(fun r ->
+          (* The frame and reply buffers come from the replica's pool and
+             go back once the reply is decoded. *)
+          let bufs = Buf_pool.take t.frame_bufs ~req_size:(Kv_proto.raft_frame_size msg) in
+          Kv_proto.write_raft_frame bufs.req ~shard:st.shard msg;
+          Erpc.Rpc.enqueue_request t.rpc sess ~req_type:Kv_proto.raft_req_type ~req:bufs.req
+            ~resp:bufs.resp ~cont:(fun r ->
               match r with
-              | Ok () when Erpc.Msgbuf.size resp > 4 ->
-                  let shard, reply = Kv_proto.read_raft_frame resp in
+              | Ok () when Erpc.Msgbuf.size bufs.resp > 4 ->
+                  let shard, reply = Kv_proto.read_raft_frame bufs.resp in
+                  Buf_pool.give t.frame_bufs bufs;
                   (* Feed whatever core now owns the shard: a restart in
                      the meantime swapped in a new incarnation, which must
                      see the reply (or safely ignore its stale term). *)
                   (match state_for t shard with
                   | Some st -> Raft.Core.receive (core st) reply
                   | None -> ())
-              | Ok () -> () (* peer had no core for the shard: nothing to feed *)
-              | Error _ -> () (* peer failed; Raft re-drives via timeouts *)))
+              | Ok () | Error _ ->
+                  (* The peer had no core for the shard (nothing to feed)
+                     or failed (Raft re-drives via timeouts). *)
+                  Buf_pool.give t.frame_bufs bufs))
 
 let raft_config t = t.raft_cfg
 
@@ -280,32 +286,34 @@ let register_handlers t =
               Erpc.Req_handle.enqueue_response h resp));
   Erpc.Nexus.register_handler t.nexus ~req_type:Kv_proto.kv_req_type
     ~mode:Erpc.Nexus.Dispatch (fun h ->
-      let r = Kv_proto.read_request (Erpc.Req_handle.get_request h) in
-      match state_for t r.shard with
+      (* Fields are read in place: only the key (GET) or the command (PUT)
+         is copied out of the RX view. *)
+      let m = Erpc.Req_handle.get_request h in
+      Kv_proto.check_request m;
+      match state_for t (Kv_proto.request_shard m) with
       | None -> respond h ~status:(Kv_proto.Retry None) ~value:None
       | Some st -> (
-          match r.op with
+          match Kv_proto.request_op m with
           | Kv_proto.Get ->
               Erpc.Req_handle.charge h Mica.Store.lookup_cost_ns;
               if Raft.Core.role (core st) <> Raft.Core.Leader then
                 respond h ~status:(Kv_proto.Not_leader (hint_host st)) ~value:None
               else (
-                match Mica.Store.get st.store ~key:r.key with
+                match Mica.Store.get st.store ~key:(Kv_proto.request_key m) with
                 | Some v -> respond h ~status:Kv_proto.Ok_ ~value:(Some v)
                 | None -> respond h ~status:Kv_proto.Not_found ~value:None)
           | Kv_proto.Put -> (
               Erpc.Req_handle.charge h (raft_submit_cost + Mica.Store.insert_cost_ns);
-              if Hashtbl.mem st.dedup (r.client_id, r.seq) then begin
+              if
+                Hashtbl.mem st.dedup
+                  (Kv_proto.request_client_id m, Kv_proto.request_seq m)
+              then begin
                 (* Retry of an already-applied PUT: re-ack, no new entry. *)
                 t.dedup_hits <- t.dedup_hits + 1;
                 respond h ~status:Kv_proto.Ok_ ~value:None
               end
               else
-                let cmd =
-                  Kv_proto.encode_cmd ~client_id:r.client_id ~seq:r.seq ~key:r.key
-                    ~value:r.value
-                in
-                match Raft.Core.submit (core st) cmd with
+                match Raft.Core.submit (core st) (Kv_proto.request_cmd m) with
                 | Ok index ->
                     Hashtbl.replace st.pending index (h, Sim.Engine.now t.engine)
                 | Error (`Not_leader _) ->
@@ -352,6 +360,7 @@ let create ~fabric ~nexus ~rpc ~map ~host ?(raft_config = Raft.Core.default_conf
       raft_cfg = raft_config;
       shard_states;
       peer_sessions = Hashtbl.create 8;
+      frame_bufs = Buf_pool.create ~resp_size:Kv_proto.raft_reply_max_size;
       pending_reply = None;
       commit_lat = Stats.Hist.create ();
       trace = Sim.Engine.trace engine;

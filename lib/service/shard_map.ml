@@ -2,6 +2,7 @@ type t = {
   shards : int;
   replication : int;
   replica_hosts : int array;
+  groups : int array array;  (** by shard; shared, read-only *)
   leaders : int option array;  (** hints, indexed by shard *)
 }
 
@@ -9,15 +10,18 @@ let create ~shards ~replication ~replica_hosts =
   if replication > Array.length replica_hosts then
     invalid_arg "Shard_map.create: replication exceeds host count";
   assert (shards > 0 && replication > 0);
-  { shards; replication; replica_hosts; leaders = Array.make shards None }
+  let n = Array.length replica_hosts in
+  let groups =
+    Array.init shards (fun shard ->
+        Array.init replication (fun i -> replica_hosts.((shard + i) mod n)))
+  in
+  { shards; replication; replica_hosts; groups; leaders = Array.make shards None }
 
 let shards t = t.shards
 let replication t = t.replication
 let replica_hosts t = t.replica_hosts
 
-let group t ~shard =
-  let n = Array.length t.replica_hosts in
-  Array.init t.replication (fun i -> t.replica_hosts.((shard + i) mod n))
+let group t ~shard = t.groups.(shard)
 
 let shard_of_key t ~key = Workload.Keygen.fnv1a key mod t.shards
 
@@ -27,7 +31,11 @@ let shards_on t ~host =
     (List.init t.shards Fun.id)
 
 let leader_hint t ~shard = t.leaders.(shard)
-let set_leader_hint t ~shard ~host = t.leaders.(shard) <- Some host
+(* Written only on a change: a steady leader costs no [Some] box per op. *)
+let set_leader_hint t ~shard ~host =
+  match t.leaders.(shard) with
+  | Some h when h = host -> ()
+  | _ -> t.leaders.(shard) <- Some host
 let clear_leader_hint t ~shard = t.leaders.(shard) <- None
 
 let clear_hints_for t ~host =

@@ -24,7 +24,9 @@ val replication : t -> int
 (** All replica hosts, in ring order. *)
 val replica_hosts : t -> int array
 
-(** Hosts replicating shard [shard], primary position first. *)
+(** Hosts replicating shard [shard], primary position first. The array
+    is computed once in {!create} and shared by every caller: read it,
+    never write it. *)
 val group : t -> shard:int -> int array
 
 (** The shard owning [key]. *)

@@ -563,7 +563,29 @@ let test_allocation_budgets () =
   (* cursor 2 + frame tuple 3 + message 7 + entry 3 + command 13 + the
      entry list, built reversed (2 cons cells, 6) *)
   check_budget "read_raft_frame (one-entry AppendEntries)" 34. (fun () ->
-      ignore (Sys.opaque_identity (Service.Kv_proto.read_raft_frame m)))
+      ignore (Sys.opaque_identity (Service.Kv_proto.read_raft_frame m)));
+  (* The replica's per-request reads: the integer fields cost nothing, the
+     key and a PUT's command one string each. *)
+  Service.Kv_proto.write_request m put;
+  check_budget "check_request" 0. (fun () -> Service.Kv_proto.check_request m);
+  check_budget "request_op" 0. (fun () ->
+      ignore (Sys.opaque_identity (Service.Kv_proto.request_op m)));
+  check_budget "request_shard, client_id and seq" 0. (fun () ->
+      ignore (Sys.opaque_identity (Service.Kv_proto.request_shard m));
+      ignore (Sys.opaque_identity (Service.Kv_proto.request_client_id m));
+      ignore (Sys.opaque_identity (Service.Kv_proto.request_seq m)));
+  check_budget "request_key" 4. (fun () ->
+      ignore (Sys.opaque_identity (Service.Kv_proto.request_key m)));
+  check_budget "request_cmd" 13. (fun () ->
+      ignore (Sys.opaque_identity (Service.Kv_proto.request_cmd m)));
+  (* Routing a key: the hash and the group lookup allocate nothing. *)
+  check_budget "Keygen.fnv1a" 0. (fun () ->
+      ignore (Sys.opaque_identity (Workload.Keygen.fnv1a key16)));
+  let map =
+    Service.Shard_map.create ~shards:4 ~replication:3 ~replica_hosts:[| 0; 1; 2; 3; 4; 5 |]
+  in
+  check_budget "Shard_map.group" 0. (fun () ->
+      ignore (Sys.opaque_identity (Service.Shard_map.group map ~shard:3)))
 
 (* {2 Typed msgbuf integration} *)
 
@@ -608,11 +630,6 @@ let test_typed_write_checksum_compose () =
        ignore (Erpc.Typed.read c m);
        false
      with Codec.Decode_error _ -> true)
-
-let test_alloc_and_write () =
-  let m = Erpc.Typed.alloc_and_write Codec.string "x" in
-  check_int "exact allocation" 5 (Erpc.Msgbuf.max_size m);
-  check_str "contents" "x" (Erpc.Typed.read Codec.string m)
 
 (* {2 Typed RPC end-to-end} *)
 
@@ -673,6 +690,5 @@ let suite =
     Alcotest.test_case "allocation budgets" `Quick test_allocation_budgets;
     Alcotest.test_case "typed write semantics" `Quick test_typed_write_semantics;
     Alcotest.test_case "typed write + checksum" `Quick test_typed_write_checksum_compose;
-    Alcotest.test_case "alloc_and_write" `Quick test_alloc_and_write;
     Alcotest.test_case "typed RPC over eRPC" `Quick test_typed_rpc_over_erpc;
   ]

@@ -6,7 +6,8 @@
 let check_bool = Alcotest.(check bool)
 
 (* Golden {!Experiments.Harness.fingerprint} digests of the band runs
-   below, recorded when the fingerprint was introduced. A refactor that
+   below, recorded when the fingerprint gained its completion-latency
+   checksum (so a 1 ns change to a CPU cost moves them). A refactor that
    claims to leave event order untouched must reproduce them byte for
    byte; a deliberate model change updates them in the same commit and
    says why. *)
@@ -28,7 +29,7 @@ let test_small_rate_band () =
       ~batch:3 ()
   in
   in_band "CX4 single-core Mrps" 4.0 6.0 r.per_thread_mrps;
-  check_digest "fig4 band" "b80e1ade7053c58e198fb9a2eaa9c14c" r.digest
+  check_digest "fig4 band" "ce4bf1ec901cf8de2f355a4701fb832c" r.digest
 
 let test_fasst_faster_than_erpc () =
   let cluster = Transport.Cluster.cx3 () in
@@ -40,7 +41,7 @@ let test_fasst_faster_than_erpc () =
 let test_bandwidth_band () =
   let p = Experiments.Exp_bandwidth.erpc_goodput ~requests:3 ~req_size:(2 * 1024 * 1024) () in
   in_band "2 MB goodput (Gbps)" 60.0 90.0 p.goodput_gbps;
-  check_digest "fig6 band" "fc7fd033ec4ef4bb555226dbf434f04b" p.digest;
+  check_digest "fig6 band" "13d1f0c78efedab20265c0eeabe74f26" p.digest;
   let r = Experiments.Exp_bandwidth.rdma_write_goodput ~requests:3 ~req_size:(2 * 1024 * 1024) () in
   check_bool "eRPC within 70-100% of RDMA write" true
     (p.goodput_gbps /. r.goodput_gbps > 0.7 && p.goodput_gbps < r.goodput_gbps)
@@ -67,8 +68,8 @@ let test_incast_cc_reduces_queueing () =
     true
     (with_cc.rtt_p50_us < 0.5 *. without.rtt_p50_us);
   in_band "no-cc p50 = degree x window (us)" 180. 280. without.rtt_p50_us;
-  check_digest "incast cc" "d1c0997c74b06a29b4405955cad13f32" with_cc.digest;
-  check_digest "incast no-cc" "e5c9a3ac22f4b447f2d5616eaae118c8" without.digest
+  check_digest "incast cc" "47ceefdd6a4f2dbfeb73e9ea37df6898" with_cc.digest;
+  check_digest "incast no-cc" "c54e81e392a53f6904887ff0b709ca0c" without.digest
 
 let test_scalability_small () =
   (* A scaled-down Fig 5: 20 nodes, 2 threads each, all-to-all. *)

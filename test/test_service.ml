@@ -70,6 +70,29 @@ let test_fnv1a_non_negative () =
     check_bool "hash >= 0" true (Workload.Keygen.fnv1a (Workload.Keygen.encode i) >= 0)
   done
 
+(* Reference 64-bit FNV-1a over [Int64], masked like [Keygen.fnv1a]: the
+   two must agree on every input, or keys move between shards. *)
+let fnv1a_int64 s =
+  let h = ref (-3750763034362895579L) (* 0xcbf29ce484222325 *) in
+  String.iter
+    (fun c ->
+      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 1099511628211L)
+    s;
+  Int64.to_int !h land max_int
+
+let qcheck_fnv1a_matches_int64 =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"fnv1a equals the Int64 reference" ~count:1000
+       ~print:String.escaped
+       QCheck2.Gen.(
+         oneof
+           [
+             pure "";
+             string_size ~gen:char (int_range 1 32);
+             string_size ~gen:char (int_range 1000 5000);
+           ])
+       (fun s -> Workload.Keygen.fnv1a s = fnv1a_int64 s))
+
 (* {2 Wire protocol} *)
 
 let test_kv_proto_request_roundtrip () =
@@ -86,7 +109,26 @@ let test_kv_proto_request_roundtrip () =
   check_int "client_id" 12 r'.Service.Kv_proto.client_id;
   check_int "seq" 345 r'.Service.Kv_proto.seq;
   check_str "key" key r'.Service.Kv_proto.key;
-  check_str "value" value r'.Service.Kv_proto.value
+  check_str "value" value r'.Service.Kv_proto.value;
+  (* The field readers agree with the record decode, and a PUT's bytes
+     from offset 8 are its replicated command. *)
+  Service.Kv_proto.check_request m;
+  check_bool "request_op" true (Service.Kv_proto.request_op m = Service.Kv_proto.Put);
+  check_int "request_shard" 3 (Service.Kv_proto.request_shard m);
+  check_int "request_client_id" 12 (Service.Kv_proto.request_client_id m);
+  check_int "request_seq" 345 (Service.Kv_proto.request_seq m);
+  check_str "request_key" key (Service.Kv_proto.request_key m);
+  check_str "request_cmd"
+    (Service.Kv_proto.encode_cmd ~client_id:12 ~seq:345 ~key ~value)
+    (Service.Kv_proto.request_cmd m);
+  Service.Kv_proto.write_request m { r with op = Service.Kv_proto.Get };
+  check_bool "GET op" true (Service.Kv_proto.request_op m = Service.Kv_proto.Get);
+  (* A message of the wrong length is rejected like a failed decode. *)
+  Erpc.Msgbuf.resize m (Service.Kv_proto.req_size - 1);
+  check_bool "short request raises Decode_error" true
+    (match Service.Kv_proto.check_request m with
+    | () -> false
+    | exception Codec.Decode_error _ -> true)
 
 let test_kv_proto_response_roundtrip () =
   let m = Erpc.Msgbuf.alloc ~max_size:Service.Kv_proto.resp_max_size in
@@ -170,6 +212,110 @@ let test_timeline_windows_and_gaps () =
   check_bool "timeline JSON is well-formed" true
     (Obs.Json.validate (Obs.Json.to_string (Obs.Timeline.to_json tl)))
 
+(* {2 Steady-state cost of an operation}
+
+   One shard replicated on hosts 0-2, one client on host 3, leader
+   elected and the client's session open. *)
+
+let warmed_service () =
+  let cluster = Transport.Cluster.cx5 ~nodes:4 () in
+  let d = Experiments.Harness.deploy cluster ~threads_per_host:1 in
+  let map = Service.Shard_map.create ~shards:1 ~replication:3 ~replica_hosts:[| 0; 1; 2 |] in
+  let replicas =
+    Array.map
+      (fun host ->
+        Service.Replica.create ~fabric:d.fabric ~nexus:d.nexuses.(host)
+          ~rpc:d.rpcs.(host).(0) ~map ~host ())
+      [| 0; 1; 2 |]
+  in
+  let client =
+    Service.Kv_client.create ~fabric:d.fabric ~rpc:d.rpcs.(3).(0) ~map ~client_id:1 ()
+  in
+  let budget = ref 100 in
+  while
+    (not (Array.exists (fun r -> Service.Replica.is_leader r ~shard:0) replicas))
+    && !budget > 0
+  do
+    Experiments.Harness.run_ms d 5.0;
+    decr budget
+  done;
+  (d, replicas, client)
+
+(* Run [issue ~cont] to completion [n] times, one operation at a time;
+   every operation must succeed. *)
+let closed_loop d n issue =
+  let completed = ref 0 and failed = ref 0 in
+  let rec next () =
+    issue ~cont:(fun ok ->
+        if not ok then incr failed;
+        incr completed;
+        if !completed < n then next ())
+  in
+  next ();
+  let budget = ref 10_000 in
+  while !completed < n && !budget > 0 do
+    Experiments.Harness.run_ms d 0.1;
+    decr budget
+  done;
+  check_int "operations completed" n !completed;
+  check_int "operations failed" 0 !failed
+
+let key = Workload.Keygen.encode 17
+
+let get client ~cont =
+  ignore
+    (Service.Kv_client.get client ~key ~deadline_ns:20_000_000 ~cont:(fun r ->
+         cont (Result.is_ok r))
+      : int)
+
+let put client ~cont =
+  ignore
+    (Service.Kv_client.put client ~key ~value:"v" ~deadline_ns:20_000_000 ~cont:(fun r ->
+         cont (Result.is_ok r))
+      : int)
+
+(* Minor words per operation in steady state: what one GET (no Raft) or
+   one PUT (a replicated log entry) costs the simulator end to end, the
+   client, both eRPC endpoints, the replicas' Raft traffic and the
+   500 us Raft tick included. *)
+let test_op_allocation_budgets () =
+  let d, replicas, client = warmed_service () in
+  let per_op name budget issue =
+    closed_loop d 50 issue;
+    let n = 500 in
+    let w0 = Gc.minor_words () in
+    closed_loop d n issue;
+    let w = (Gc.minor_words () -. w0) /. float_of_int n in
+    if w > budget then Alcotest.failf "%s: %.1f minor words/op (budget %.0f)" name w budget
+  in
+  (* Measured 517 and 145; the budgets are 5% above. *)
+  per_op "PUT" 543. (put client);
+  per_op "GET" 152. (get client);
+  Array.iter Service.Replica.stop replicas
+
+(* An attempt's msgbuf pair goes back to the client's free stack only
+   when its continuation runs: pairs in flight are never handed out again
+   (eRPC would reject the second enqueue), and completed ones are. *)
+let test_client_msgbufs_reused_after_continuation () =
+  let d, replicas, client = warmed_service () in
+  let concurrent k =
+    let completed = ref 0 in
+    for _ = 1 to k do
+      get client ~cont:(fun ok ->
+          check_bool "get ok" true ok;
+          incr completed)
+    done;
+    check_int "one pair per attempt in flight" k (Service.Kv_client.msgbuf_pairs client);
+    Experiments.Harness.run_ms d 1.0;
+    check_int "all completed" k !completed
+  in
+  concurrent 3;
+  concurrent 3;
+  check_int "completed pairs were reused" 3 (Service.Kv_client.msgbuf_pairs client);
+  closed_loop d 20 (get client);
+  check_int "one at a time needs no new pair" 3 (Service.Kv_client.msgbuf_pairs client);
+  Array.iter Service.Replica.stop replicas
+
 (* {2 Chaos harness} *)
 
 let test_chaos_run_clean_and_deterministic () =
@@ -220,11 +366,15 @@ let suite =
     Alcotest.test_case "shard map: key routing" `Quick test_shard_map_key_routing;
     Alcotest.test_case "shard map: leader hints" `Quick test_shard_map_hints;
     Alcotest.test_case "fnv1a never negative" `Quick test_fnv1a_non_negative;
+    qcheck_fnv1a_matches_int64;
     Alcotest.test_case "kv proto: request roundtrip" `Quick test_kv_proto_request_roundtrip;
     Alcotest.test_case "kv proto: response roundtrip" `Quick test_kv_proto_response_roundtrip;
     Alcotest.test_case "kv proto: command roundtrip" `Quick test_kv_proto_cmd_roundtrip;
     Alcotest.test_case "kv proto: raft frame roundtrip" `Quick test_raft_frame_roundtrip;
     Alcotest.test_case "timeline: windows and gaps" `Quick test_timeline_windows_and_gaps;
+    Alcotest.test_case "kv ops: allocation budgets" `Quick test_op_allocation_budgets;
+    Alcotest.test_case "kv client: msgbufs reused after continuation" `Quick
+      test_client_msgbufs_reused_after_continuation;
     Alcotest.test_case "kv-chaos: clean and deterministic" `Quick
       test_chaos_run_clean_and_deterministic;
     Alcotest.test_case "kv-chaos: golden trace digests" `Quick test_chaos_golden_digests;
